@@ -250,7 +250,8 @@ def main(argv=None) -> int:
     ap.add_argument("--n-requests", type=int, default=96,
                     help="requests per sweep point")
     ap.add_argument("--max-delay-ms", type=float, default=5.0,
-                    help="batcher admission deadline")
+                    help="batcher linger: minimum wait of a key's oldest "
+                         "request (0 admits on demand)")
     ap.add_argument("--trace-out", default="serve_trace.json",
                     help="smoke: write the merged multi-request Chrome "
                          "trace here")

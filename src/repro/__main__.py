@@ -165,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="start the SAT serving layer (batcher + workers)")
     v.add_argument("--workers", type=int, default=4)
     v.add_argument("--max-delay-ms", type=float, default=5.0,
-                   help="batcher admission deadline")
+                   help="batcher linger: minimum wait of a key's oldest "
+                        "request (0 admits on demand)")
     v.add_argument("--size", type=int, default=128,
                    help="square side of the synthetic self-test images")
     v.add_argument("--requests", type=int, default=16,
@@ -232,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="distinct image shapes in the workload")
     so.add_argument("--workers", type=int, default=4)
     so.add_argument("--max-delay-ms", type=float, default=5.0,
-                    help="batcher admission deadline")
+                    help="batcher linger: minimum wait of a key's oldest "
+                         "request (0 admits on demand)")
     so.add_argument("--latency-slo-ms", type=float, default=100.0,
                     help="latency objective threshold (p95 target); tighten "
                          "to exercise warning/breach states")

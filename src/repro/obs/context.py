@@ -114,9 +114,9 @@ class TraceContext:
 TIMELINE_COMPONENTS: Tuple[str, ...] = (
     "submit_us",       # submit() entry -> queued (config resolution,
                        #   plan.decide for auto, request-span open)
-    "queue_wait_us",   # queued -> admitted into a batch (size knee /
-                       #   deadline / flush)
-    "dispatch_wait_us",  # batch formed -> a worker picks it up
+    "queue_wait_us",   # queued -> a worker's take() admits its batch
+                       #   (waits for a free worker, or an opt-in linger)
+    "dispatch_wait_us",  # batch admitted -> its worker starts the launch
     "execute_us",      # engine run_group window (compile, replay, shard)
     "finish_us",       # table ready -> response built & future resolved
 )

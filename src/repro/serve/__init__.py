@@ -5,9 +5,11 @@ submit :class:`SatRequest` / :class:`RectSumRequest` /
 :class:`BoxFilterRequest` objects to one :class:`SatService`; a
 :class:`DynamicBatcher` coalesces compatible requests (same algorithm,
 dtype pair, shape bucket and resolved execution config) into the stacked
-launches the engine's plan cache makes nearly free, under a deadline +
-size-knee admission policy; a :class:`WorkerPool` drains admitted batches
-into one shared :class:`~repro.engine.batch.Engine`.
+launches the engine's plan cache makes nearly free; admission is
+demand-driven (an idle worker takes the oldest request's group at once,
+split at the size knee), so requests coalesce while every worker is busy;
+a :class:`WorkerPool` drains the batches into one shared
+:class:`~repro.engine.batch.Engine`.
 
 Every response carries a :class:`~repro.obs.context.RequestTimeline`
 decomposing its wall latency; with tracing enabled

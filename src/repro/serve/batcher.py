@@ -1,4 +1,4 @@
-"""Dynamic request batcher: deadline + size-knee coalescing.
+"""Dynamic request batcher: demand-driven coalescing.
 
 The batcher is the piece that turns chaotic concurrent traffic into the
 warm, same-shaped batches the engine's plan cache and address tapes make
@@ -15,17 +15,29 @@ dimension the batched launch geometry depends on:
   ambient ``execution()`` contexts and env profiles are honoured,
 * canonicalised algorithm options (``scan=``, ``brlt_stride=``...).
 
-Admission policy, per group (oldest request first):
+Admission is **demand-driven**: a batch forms when a worker asks for one
+(:meth:`DynamicBatcher.take`), not when a timer fires.  Each ask admits
+the one *eligible* group whose oldest request is oldest, and the batch
+takes every request queued under that key at that moment, split only at
+the size knee.  A group is eligible, with the batch's reason:
 
-* **size knee** — the group is admitted the moment its stacked staging
-  footprint would reach the engine's chunk bound
-  (:class:`~repro.engine.scheduler.BatchScheduler`'s 12 MB knee): any
-  deeper and the engine would split the launch anyway, so waiting buys
-  nothing;
-* **deadline** — otherwise it is admitted ``max_delay_s`` after its
-  *oldest* request arrived, bounding per-request queueing delay and
-  making starvation impossible;
-* **flush** — shutdown/drain admits everything immediately.
+* **size** — it holds at least its depth cap, the stacked staging
+  footprint that reaches the engine's chunk bound
+  (:class:`~repro.engine.scheduler.BatchScheduler`'s 12 MB knee).  Any
+  deeper and the engine would split the launch anyway, so the batch
+  takes exactly the cap and the rest stays queued;
+* **deadline** — its oldest request has lingered ``max_delay_s``.  The
+  default linger is 0, so a request never waits while a worker is idle,
+  and batches form from the requests that queue while every worker is
+  busy.  A positive linger is opt-in: the minimum time a group's oldest
+  request waits before the group is eligible.  At linger 0 a demand
+  admission reports ``"deadline"``, because its zero linger has elapsed;
+* **flush** — :meth:`~DynamicBatcher.flush` or shutdown made it eligible
+  before its linger elapsed.
+
+Serving the oldest head first makes starvation impossible: every take
+removes the oldest eligible request, so each request in turn becomes the
+oldest.
 
 The clock is injectable so the policy is testable deterministically
 (:mod:`tests.serve.test_batcher_policy` drives it with a fake clock and
@@ -36,10 +48,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +61,7 @@ from ..exec.registry import get_kernel_spec, has_kernel_spec
 from ..obs.context import TraceContext, recording_timeline
 from ..obs.metrics import get_metrics
 from ..obs.trace import Span, Tracer
-from .request import ServeRequest
+from .request import ServeError, ServeRequest
 
 __all__ = ["CompatKey", "Batch", "DynamicBatcher"]
 
@@ -85,6 +97,9 @@ class _Pending:
     t_submit: float
     #: ``time.perf_counter()`` when the request entered its group queue.
     t_queued: float = 0.0
+    #: Submit order within the batcher, which ranks group heads: arrival
+    #: stamps can tie (a coarse or injected clock) or run backwards.
+    seq: int = 0
     #: The request's open span (tracing enabled) — closed at completion.
     span: Optional[Span] = None
     #: Lineage under the request span, for the worker to link/nest under.
@@ -115,7 +130,8 @@ class _Group:
 
 @dataclass
 class Batch:
-    """One admitted batch, ready for a worker."""
+    """One admitted batch: what a worker's :meth:`DynamicBatcher.take`
+    returns."""
 
     key: CompatKey
     entries: List[_Pending]
@@ -136,17 +152,19 @@ class Batch:
 
 
 class DynamicBatcher:
-    """Coalesces compatible requests under a deadline + size-knee policy."""
+    """Coalesces compatible requests; a batch forms when a worker asks."""
 
     def __init__(
         self,
-        max_delay_s: float = 0.01,
+        max_delay_s: float = 0.0,
         max_stack_bytes: Optional[int] = None,
         max_batch: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        #: Deadline bound: a request waits at most this long in the queue
-        #: before its group is admitted (plus worker pickup latency).
+        #: Linger: the minimum time a group's oldest request waits before
+        #: the group is eligible (unless the size knee or a flush admits it
+        #: sooner).  0, the default, makes every queued group eligible at
+        #: once, so a request waits only while every worker is busy.
         self.max_delay_s = float(max_delay_s)
         #: Stacked-footprint knee; defaults to the engine scheduler's
         #: 12 MB chunk bound — the depth past which the engine would
@@ -160,8 +178,9 @@ class DynamicBatcher:
         self._clock = clock
         self._cond = threading.Condition()
         self._groups: "OrderedDict[CompatKey, _Group]" = OrderedDict()
-        self._ready: Deque[Batch] = deque()
         self._closed = False
+        #: Requests with ``seq`` up to this were flushed: eligible now.
+        self._flushed = 0
         self._pending = 0
         self.submitted = 0
         self.admitted_batches = 0
@@ -254,8 +273,8 @@ class DynamicBatcher:
 
         Raises :class:`ValueError`/``KeyError`` synchronously for invalid
         requests (bad image, unknown algorithm, dtype/pair mismatch) and
-        ``RuntimeError`` after :meth:`close` — a closed batcher accepts
-        nothing.
+        :class:`~repro.serve.request.ServeError` (``code="shutdown"``)
+        after :meth:`close` — a closed batcher accepts nothing.
 
         With a ``tracer``, a ``serve.request`` span is opened *here*, on
         the submitting thread — under the submitter's current span if it
@@ -294,7 +313,8 @@ class DynamicBatcher:
                 if pend.span is not None:
                     pend.span.attrs["error"] = "closed"
                     tracer.end_span(pend.span)
-                raise RuntimeError("batcher is closed")
+                raise ServeError("shutdown", "batcher is closed",
+                                 request_id=request.request_id)
             grp = self._groups.get(key)
             if grp is None:
                 grp = _Group(
@@ -304,41 +324,55 @@ class DynamicBatcher:
                     ),
                 )
                 self._groups[key] = grp
+            self.submitted += 1
+            pend.seq = self.submitted
             grp.entries.append(pend)
             self._pending += 1
-            self.submitted += 1
-            if grp.size_ready:
-                self._admit(key, grp, "size", pend.arrival)
+            # Bookkeeping before the wake-up: the woken worker takes this
+            # lock at once, and a submitter that needed it again would
+            # queue behind the worker's admission.
+            m = get_metrics()
+            m.counter("serve.requests", kind=request.kind,
+                      algorithm=key.algorithm).inc()
+            m.gauge("serve.queue_depth").set(self._pending)
             self._cond.notify_all()
-        m = get_metrics()
-        m.counter("serve.requests", kind=request.kind,
-                  algorithm=key.algorithm).inc()
-        m.gauge("serve.queue_depth").set(self.queue_depth)
         return fut
 
     # -- admission (callers hold self._cond) -----------------------------
-    def _admit(self, key: CompatKey, grp: _Group, reason: str,
-               now: float) -> None:
-        del self._groups[key]
-        batch = Batch(key=key, entries=grp.entries, reason=reason,
-                      admitted=now, t_admitted=time.perf_counter())
-        self._ready.append(batch)
-        self._pending -= len(grp.entries)
+    def _reason(self, grp: _Group, now: float) -> Optional[str]:
+        """Why ``grp`` is eligible at ``now``; ``None`` while it must wait."""
+        if grp.size_ready:
+            return "size"
+        if now >= grp.deadline(self.max_delay_s):
+            return "deadline"
+        if self._closed or grp.entries[0].seq <= self._flushed:
+            return "flush"
+        return None
+
+    def _pick(self, now: float) -> Optional[Batch]:
+        """Admit the eligible group whose oldest request is oldest: every
+        request queued under its key, up to the depth cap."""
+        eligible = [(grp.entries[0].seq, grp, why)
+                    for grp in self._groups.values()
+                    if (why := self._reason(grp, now)) is not None]
+        if not eligible:
+            return None
+        _, grp, reason = min(eligible, key=lambda e: e[0])
+        entries = grp.entries[:grp.depth_cap]
+        del grp.entries[:grp.depth_cap]
+        if not grp.entries:
+            del self._groups[grp.key]
+        self._pending -= len(entries)
         self.admitted_batches += 1
         m = get_metrics()
         m.counter("serve.batches", reason=reason).inc()
-        m.histogram("serve.batch_size").observe(len(grp.entries))
+        m.histogram("serve.batch_size").observe(len(entries))
         m.histogram("serve.batch_wait_us").observe(
-            max(0.0, now - grp.entries[0].arrival) * 1e6
+            max(0.0, now - entries[0].arrival) * 1e6
         )
-
-    def _promote_due(self, now: float) -> None:
-        due = [
-            (k, g) for k, g in self._groups.items()
-            if g.size_ready or now >= g.deadline(self.max_delay_s)
-        ]
-        for k, g in due:
-            self._admit(k, g, "size" if g.size_ready else "deadline", now)
+        m.gauge("serve.queue_depth").set(self._pending)
+        return Batch(key=grp.key, entries=entries, reason=reason,
+                     admitted=now, t_admitted=time.perf_counter())
 
     def _next_deadline(self) -> Optional[float]:
         if not self._groups:
@@ -348,32 +382,29 @@ class DynamicBatcher:
 
     # -- consumption -----------------------------------------------------
     def take(self, timeout: Optional[float] = None) -> Optional[Batch]:
-        """Block until a batch is admitted; the worker-pool entry point.
+        """Block until a group is eligible, then admit it as one batch;
+        the worker-pool entry point.
 
         Returns ``None`` when the batcher is closed and fully drained, or
-        when ``timeout`` (seconds) elapses with nothing admitted.
+        when ``timeout`` (seconds) elapses with nothing eligible.
         """
         t_end = (time.monotonic() + timeout) if timeout is not None else None
         with self._cond:
             while True:
-                # One clock sample per iteration: promotion and the wait
+                # One clock sample per iteration: the pick and the wait
                 # computation must see the same ``now``, otherwise an
                 # injected/non-monotonic clock stepping between the two
-                # reads can yield a zero wait for a group that promotion
+                # reads can yield a zero wait for a group that the pick
                 # just declined — a busy spin.  With a single sample,
-                # every deadline <= now was already admitted, so the
-                # remaining minimum deadline is strictly in the future
-                # and the wait is strictly positive (clamped >= 0 for
-                # float-arithmetic safety).
+                # every deadline <= now was eligible, so the remaining
+                # minimum deadline is strictly in the future and the wait
+                # is strictly positive (clamped >= 0 for float-arithmetic
+                # safety).
                 now = self._clock()
-                self._promote_due(now)
-                if self._ready:
-                    batch = self._ready.popleft()
-                    get_metrics().gauge("serve.queue_depth").set(
-                        self._pending + sum(len(b) for b in self._ready)
-                    )
+                batch = self._pick(now)
+                if batch is not None:
                     return batch
-                if self._closed and not self._groups:
+                if self._closed:  # every queued group is eligible: drained
                     return None
                 waits = []
                 nxt = self._next_deadline()
@@ -387,38 +418,34 @@ class DynamicBatcher:
                 self._cond.wait(min(waits) if waits else None)
 
     def poll(self, now: Optional[float] = None) -> List[Batch]:
-        """Non-blocking admission sweep at time ``now`` (tests, drains).
+        """Non-blocking admission at time ``now`` (tests, drains).
 
-        Promotes every group that is size-ready or past its deadline at
-        ``now`` (default: the batcher clock) and returns all ready
-        batches, admission order.
+        Repeats :meth:`take`'s pick at ``now`` (default: the batcher
+        clock) until no group is eligible; returns the batches in
+        admission order.
         """
         with self._cond:
-            self._promote_due(self._clock() if now is None else now)
-            out = list(self._ready)
-            self._ready.clear()
-            get_metrics().gauge("serve.queue_depth").set(self._pending)
+            now = self._clock() if now is None else now
+            out = []
+            while (batch := self._pick(now)) is not None:
+                out.append(batch)
             return out
 
     def flush(self) -> None:
-        """Admit every pending group immediately (reason ``"flush"``)."""
+        """Make every queued request eligible now (reason ``"flush"``
+        where neither the size knee nor the linger already admits it)."""
         with self._cond:
-            now = self._clock()
-            for k, g in list(self._groups.items()):
-                self._admit(k, g, "flush", now)
+            self._flushed = self.submitted
             self._cond.notify_all()
 
     def close(self) -> None:
-        """Stop accepting requests and flush what is queued.
+        """Stop accepting requests; everything queued becomes eligible.
 
-        Workers drain the remaining ready batches; subsequent
-        :meth:`take` calls return ``None`` once everything is consumed.
+        Workers drain the remaining groups; subsequent :meth:`take` calls
+        return ``None`` once everything is consumed.
         """
         with self._cond:
             self._closed = True
-            now = self._clock()
-            for k, g in list(self._groups.items()):
-                self._admit(k, g, "flush", now)
             self._cond.notify_all()
 
     # -- introspection ---------------------------------------------------
@@ -428,9 +455,9 @@ class DynamicBatcher:
 
     @property
     def queue_depth(self) -> int:
-        """Requests queued (pending groups + admitted-but-untaken)."""
+        """Requests queued and not yet taken by a worker."""
         with self._cond:
-            return self._pending + sum(len(b) for b in self._ready)
+            return self._pending
 
     def pending_keys(self) -> List[CompatKey]:
         with self._cond:

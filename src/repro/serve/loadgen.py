@@ -47,6 +47,7 @@ class LoadReport:
     n_ok: int
     n_errors: int
     duration_s: float
+    #: Completed requests per second; failed requests are not served.
     throughput_rps: float
     #: Arrival rate the generator *tried* to offer (open loop only).
     offered_rps: Optional[float] = None
@@ -98,7 +99,7 @@ def _summarise(mode: str, latencies_ms: List[float], responses,
         n_ok=n_ok,
         n_errors=n_errors,
         duration_s=duration_s,
-        throughput_rps=(n_ok + n_errors) / duration_s if duration_s > 0 else 0.0,
+        throughput_rps=n_ok / duration_s if duration_s > 0 else 0.0,
         offered_rps=offered_rps,
         clients=clients,
         latency_ms=lat,

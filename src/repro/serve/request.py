@@ -156,7 +156,9 @@ class ServeResponse:
     #: Depth of the coalesced batch this request rode in (1 = solo).
     batch_size: int = 1
     #: Why the batch was admitted: ``"size"`` (hit the stack-size knee),
-    #: ``"deadline"`` (oldest request aged out) or ``"flush"`` (drain).
+    #: ``"deadline"`` (its oldest request's linger had elapsed — with the
+    #: default linger of 0, any batch a worker took below the knee) or
+    #: ``"flush"`` (drain or shutdown before the linger elapsed).
     batch_reason: str = "size"
     #: Whether the underlying launch was shared with other requests.
     coalesced: bool = False

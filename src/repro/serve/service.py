@@ -56,12 +56,20 @@ __all__ = ["SatService"]
 
 
 class SatService:
-    """Thread-based SAT serving: dynamic batching over a worker pool."""
+    """Thread-based SAT serving: dynamic batching over a worker pool.
+
+    Admission is demand-driven: an idle worker takes the oldest queued
+    request's group at once, so by default requests coalesce only while
+    every worker is busy.  ``max_delay_s`` (default 0) is an opt-in
+    linger: the minimum time a group's oldest request waits before the
+    group may be taken, trading that much latency for deeper batches at
+    light load; see :class:`~repro.serve.batcher.DynamicBatcher`.
+    """
 
     def __init__(
         self,
         workers: int = 4,
-        max_delay_s: float = 0.01,
+        max_delay_s: float = 0.0,
         max_stack_bytes: Optional[int] = None,
         max_batch: Optional[int] = None,
         engine: Optional[Engine] = None,

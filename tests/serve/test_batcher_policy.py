@@ -1,11 +1,17 @@
-"""DynamicBatcher admission policy: keying, deadline, size knee.
+"""DynamicBatcher admission policy: keying, demand, deadline, size knee.
 
 The batcher is driven with an injectable fake clock through its
-non-blocking ``poll()`` path, so every property here is fully
-deterministic — no sleeps, no races.  Hypothesis generates arrival
-sequences (inter-arrival gaps and shape choices) and the tests assert the
-policy invariants:
+non-blocking ``poll()`` and ``take(timeout=0)`` paths, so every property
+here is fully deterministic — no sleeps, no races.  Hypothesis generates
+arrival sequences (inter-arrival gaps and shape choices, or interleaved
+submits and takes) and the tests assert the policy invariants:
 
+* **work conservation** — at the default linger (0), whenever requests
+  are queued, a take or poll admits a batch without the clock moving;
+* **oldest head first** — each batch is led by the oldest eligible
+  request across all keys;
+* **one batch per key and ask** — a batch takes every request queued
+  under its key when the worker asks, split only at the depth cap;
 * **conservation / no starvation** — every submitted request ends up in
   exactly one admitted batch, FIFO within its group;
 * **deadline bound** — a group is admitted once its *oldest* request has
@@ -19,9 +25,12 @@ End-to-end bit-identity of coalesced execution lives in
 ``test_service.py`` (real worker pool, real engine).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.scheduler import BatchScheduler
@@ -60,6 +69,11 @@ assert BatchScheduler.bucket_of(SHAPES[0], PAD) == \
 assert BatchScheduler.bucket_of(SHAPES[2], PAD) != \
     BatchScheduler.bucket_of(SHAPES[0], PAD)
 IMAGES = [_img(s, seed=i) for i, s in enumerate(SHAPES)]
+#: Three keys: IMAGES[0] and IMAGES[1] share one, plus a float32 key.
+KEY_IMAGES = IMAGES + [_img(dtype=np.float32)]
+KEYS = [DynamicBatcher.compat_key_of(SatRequest(im), RESOLVED)
+        for im in KEY_IMAGES]
+assert len(set(KEYS)) == 3
 
 
 def _batcher(clock, **kw):
@@ -304,6 +318,144 @@ class TestNonMonotonicClock:
                 break
             served.extend(p.request.request_id for p in batch.entries)
         assert sorted(served) == sorted(submitted)
+
+
+class TestDemandDrivenAdmission:
+    """At the default linger (0) a batch forms whenever a worker asks.
+
+    The fake clock never moves, so nothing here can become eligible by
+    waiting: every admission is the worker's ask alone.
+    """
+
+    CAP = 3
+    #: Submits (an index into KEY_IMAGES) interleaved with worker asks.
+    OPS = st.lists(st.one_of(st.integers(0, len(KEY_IMAGES) - 1),
+                             st.sampled_from(["take", "poll"])),
+                   max_size=40)
+
+    def test_idle_worker_takes_a_lone_request_at_once(self):
+        b = DynamicBatcher(clock=FakeClock())
+        b.submit(SatRequest(IMAGES[0]), RESOLVED)
+        batch = b.take(timeout=0.05)
+        assert batch is not None and len(batch) == 1
+        # Its zero linger has elapsed: a demand admission reports deadline.
+        assert batch.reason == "deadline"
+
+    def _drive(self, ops, check=None):
+        """Apply ``ops`` to a default-linger batcher on a frozen clock.
+
+        Asserts work conservation at every ask: with requests queued,
+        ``take(timeout=0)`` returns a batch and ``poll()`` drains the
+        queue; with none, both come back empty.  ``check(batch,
+        waiting)`` sees each batch with the ``(request_id, key index)``
+        pairs queued just before it left, in submit order.
+        """
+        b = DynamicBatcher(clock=FakeClock(), max_batch=self.CAP)
+        waiting, submitted, served = [], [], []
+        for op in ops:
+            if isinstance(op, int):
+                req = SatRequest(KEY_IMAGES[op])
+                b.submit(req, RESOLVED)
+                waiting.append((req.request_id, op))
+                submitted.append(req.request_id)
+                continue
+            batches = b.poll() if op == "poll" else [b.take(timeout=0)]
+            if not waiting:
+                assert batches in ([], [None])
+                continue
+            assert batches and None not in batches
+            for bt in batches:
+                if check is not None:
+                    check(bt, waiting)
+                ids = [p.request.request_id for p in bt.entries]
+                waiting = [w for w in waiting if w[0] not in ids]
+                served.extend(ids)
+            if op == "poll":
+                assert not waiting
+            assert b.queue_depth == len(waiting)
+        b.close()
+        served.extend(p.request.request_id for bt in b.poll()
+                      for p in bt.entries)
+        assert sorted(served) == sorted(submitted)
+        assert len(set(served)) == len(served)
+
+    @given(ops=OPS)
+    @settings(deadline=None)
+    def test_work_conserving(self, ops):
+        self._drive(ops)
+
+    @given(ops=OPS)
+    @example(ops=[0, 2, 2, 2, "take"])   # a full younger key must not jump
+    @settings(deadline=None)
+    def test_oldest_head_first_across_keys(self, ops):
+        def check(bt, waiting):
+            assert bt.entries[0].request.request_id == waiting[0][0]
+
+        self._drive(ops, check)
+
+    @given(ops=OPS)
+    @example(ops=[0, 2, "take", 2, "take"])  # key 2 queued across an ask
+    @settings(deadline=None)
+    def test_key_leaves_as_one_batch_split_at_cap(self, ops):
+        """Everything queued under the batch's key when the worker asks
+        leaves together, FIFO, cut only at the depth cap."""
+        def check(bt, waiting):
+            same_key = [rid for rid, k in waiting if KEYS[k] == bt.key]
+            assert [p.request.request_id for p in bt.entries] == \
+                same_key[:self.CAP]
+            assert bt.reason == ("size" if len(same_key) >= self.CAP
+                                 else "deadline")
+
+        self._drive(ops, check)
+
+    def test_racing_submitters_and_takers_lose_nothing(self):
+        """More threads than cores, a tiny switch interval: 4 submitters
+        and 4 takers on the real clock.  Every request leaves exactly
+        once, in submit order within its batch, never above the cap."""
+        b = DynamicBatcher(max_batch=self.CAP)
+        per_submitter = 150
+        submitted = [[] for _ in range(4)]
+        batches = []
+        lock = threading.Lock()
+
+        def submitter(i):
+            for j in range(per_submitter):
+                req = SatRequest(KEY_IMAGES[(i + j) % len(KEY_IMAGES)])
+                b.submit(req, RESOLVED)
+                submitted[i].append(req.request_id)
+
+        def taker():
+            while (batch := b.take()) is not None:
+                with lock:
+                    batches.append(batch)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            takers = [threading.Thread(target=taker) for _ in range(4)]
+            subs = [threading.Thread(target=submitter, args=(i,))
+                    for i in range(4)]
+            for t in takers + subs:
+                t.start()
+            for t in subs:
+                t.join(timeout=60)
+            b.close()
+            for t in takers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in takers + subs)
+
+        served = [p.request.request_id for bt in batches for p in bt.entries]
+        assert sorted(served) == sorted(sum(submitted, []))
+        assert b.queue_depth == 0
+        origin = {rid: i for i, ids in enumerate(submitted) for rid in ids}
+        for bt in batches:
+            assert 1 <= len(bt) <= self.CAP
+            ids = [p.request.request_id for p in bt.entries]
+            for i in range(4):
+                mine = [rid for rid in ids if origin[rid] == i]
+                assert mine == sorted(mine)
 
 
 @st.composite

@@ -73,6 +73,8 @@ class TestClosedLoop:
                               requests_per_client=4, request_factory=factory)
         assert rep.n_errors == 4 and rep.n_ok == 4
         assert rep.n_requests == 8
+        # Throughput counts completed requests only: failures are not served.
+        assert rep.throughput_rps == rep.n_ok / rep.duration_s
 
     def test_needs_images_or_factory(self, svc):
         with pytest.raises(ValueError, match="at least one image"):

@@ -128,6 +128,46 @@ class TestAcceptanceConcurrency:
         assert {r.kind for r in (sat_r, rect_r, box_r, ex_r)} == \
             {"sat", "rect_sum", "box_filter"}
 
+    def test_busy_workers_coalesce_without_a_timer(self):
+        """Default service (no linger): 8 closed-loop clients on one shape
+        keep 2 workers busy, and the requests that queue meanwhile leave
+        together when a worker asks."""
+        reset_metrics()
+        img = _mixed_images()[0]
+        ref = sat(img).output
+        n_clients, per_client = 8, 8
+        resps, errors = [], []
+        lock = threading.Lock()
+        gate = threading.Event()
+
+        def client():
+            gate.wait()
+            for _ in range(per_client):
+                try:
+                    resp = service.request(SatRequest(img), timeout=60)
+                except Exception as exc:  # pragma: no cover - fail below
+                    with lock:
+                        errors.append(exc)
+                    continue
+                with lock:
+                    resps.append(resp)
+
+        with SatService(workers=2) as service:
+            threads = [threading.Thread(target=client)
+                       for _ in range(n_clients)]
+            for t in threads:
+                t.start()
+            gate.set()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            ratio = service.stats()["coalesce_ratio"]
+        assert not errors, errors
+        assert len(resps) == n_clients * per_client
+        for r in resps:
+            assert np.array_equal(r.result, ref)
+        assert ratio > 0.5
+
     @given(picks=st.lists(st.integers(0, 3), min_size=1, max_size=8))
     @settings(deadline=None, max_examples=5)
     def test_property_any_mix_is_bit_identical(self, picks):
@@ -243,6 +283,15 @@ class TestLifecycle:
                                   sat(img).output)
         with pytest.raises(ServeError):
             service.submit(SatRequest(img))
+
+    def test_submit_racing_close_is_structured(self):
+        """close() landing between the service's closed check and the
+        batcher's queueing still fails with ServeError(shutdown)."""
+        with SatService(workers=1) as service:
+            service.batcher.close()
+            with pytest.raises(ServeError) as ei:
+                service.submit(SatRequest(np.ones((16, 16), np.uint8)))
+        assert ei.value.code == "shutdown"
 
     def test_per_request_config_separates_batches(self, svc):
         """Requests pinning different execution modes must not share a
