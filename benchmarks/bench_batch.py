@@ -3,8 +3,9 @@
 Measures the tentpole claim of the engine: a batch of repeated-shape
 images through ``sat_batch`` must beat per-image ``sat()`` calls by >= 2x
 in both modeled GPU throughput (launch-overhead amortisation across the
-stacked grid) and host wall clock (plan reuse + address-tape replays),
-with bit-identical per-image outputs, counters and timings.
+stacked grid) and host wall clock (plan reuse + warm buckets running
+their lowered program on either backend), with bit-identical per-image
+outputs, counters and timings.
 
 Run directly::
 
@@ -98,7 +99,7 @@ def run_full(n_images: int, size: int, algorithm: str, pair: str,
                         backend=backend)
     _check_identical(run.runs, solo)
 
-    # Warm pass: plan cache (and tapes / compiled programs) fully populated.
+    # Warm pass: plan cache and lowered programs fully populated.
     warm = eng.run_batch(imgs, pair=pair, algorithm=algorithm, device=device,
                          backend=backend)
     _check_identical(warm.runs, solo)

@@ -1,21 +1,22 @@
-"""Tape compilation: closed-form NumPy replay of recorded launch plans.
+"""Plan compilation: closed-form NumPy replay of recorded launch plans.
 
 The simulated SAT kernels are deterministic array programs: control flow
 depends only on launch geometry, never on data values (the invariant the
-plan cache and address tapes of :mod:`repro.engine` / :mod:`repro.gpusim.
-replay` already rely on).  This package pushes that one step further —
-instead of *replaying* a recorded launch through the interpreter, it
-*lowers* the launch plan into a :class:`~repro.compile.lower.CompiledPlan`:
+plan cache of :mod:`repro.engine` already relies on).  This package
+pushes that one step further — instead of *replaying* a recorded launch
+through the interpreter, it *lowers* the launch plan into a
+:class:`~repro.compile.lower.CompiledPlan`:
 a closed-form sequence of whole-grid NumPy gather/cumsum/scatter
 operations per kernel pass, bit-identical to the interpreted execution
 (including float summation order) but with zero interpreter steps.
 
 :mod:`repro.compile.ops` holds the lowered building blocks (warp-scan
-emulators, the strip-offset/carry programs, the affine-lattice scatter);
+emulators, the strip-offset/carry programs, the transposed store);
 :mod:`repro.compile.lower` assembles them into compiled plans from a
 :class:`~repro.exec.registry.KernelSpec` plus the recorded per-pass
 :class:`~repro.gpusim.launch.LaunchStats`.  The ``compiled`` execution
-backend (:mod:`repro.exec.backends`) and the batch engine consume them.
+backend (:mod:`repro.exec.backends`) and every warm bucket of the batch
+engine consume them.
 """
 
 from .lower import CompiledPass, CompiledPlan, CompileError, compile_plan

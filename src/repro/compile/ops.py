@@ -17,10 +17,8 @@ load-bearing details, matched one-to-one against the kernel bodies:
   warp 0 / strip 0 (``offs = offs + carry`` with ``carry = const(0)``,
   then ``bank + offs``), which flushes ``-0.0`` data to ``+0.0``.  The
   lowered programs perform the same adds instead of skipping them.
-* The transposed store goes through :func:`transpose_scatter`: the
-  destination index lattice is proven injective with the same
-  affine-lattice machinery the address tapes use, then written as one
-  strided-view copy; a cached fancy-index scatter is the fallback.
+* The transposed store goes through :func:`transpose_scatter`, one
+  contiguous copy of the per-image swapped view.
 
 Integer accumulators are exempt from all of the association rules:
 wrapping integer addition is associative and commutative, so *any*
@@ -36,9 +34,6 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 import numpy as np
-
-from ..gpusim.replay import _affine_view, _injective
-from ..obs.metrics import get_metrics
 
 __all__ = [
     "WARP_SCAN_LOWERED",
@@ -214,40 +209,12 @@ def carry_through_row_scan(x: np.ndarray,
     return out.reshape(x.shape)
 
 
-# Cached fancy-index scatters for non-injective (or non-affine) lattices,
-# keyed by stack shape.  Bounded: transposed stores only ever produce one
-# lattice per (depth, bucket), and buckets are already LRU-bounded by the
-# plan cache.
-_SCATTER_INDEX_CACHE: Dict[tuple, np.ndarray] = {}
-_SCATTER_CACHE_MAX = 16
-
-
 def transpose_scatter(res: np.ndarray) -> np.ndarray:
     """Per-image transposed store of a ``(D, H, W)`` stack -> ``(D, W, H)``.
 
-    The destination index of source element ``(d, r, c)`` is the affine
-    lattice ``d*W*H + c*H + r``.  When :func:`~repro.gpusim.replay.
-    _injective` proves the lattice injective (write order cannot matter),
-    the store is a single strided-view copy — the same fast path the
-    address tapes use; otherwise the resolved index array is cached and
-    the store becomes one fancy-index scatter.
+    The destination index of source element ``(d, r, c)`` is
+    ``d*W*H + c*H + r``, a lattice that is injective for every shape, so
+    write order cannot matter and the store is one contiguous copy of
+    the swapped view.
     """
-    d_, h, w = res.shape
-    dst = np.empty((d_, w, h), dtype=res.dtype)
-    desc = (0, (d_, h, w), (w * h, 1, h))
-    if _injective(desc):
-        np.copyto(_affine_view(dst.reshape(-1), desc), res)
-        get_metrics().counter("compile.scatter", kind="affine").inc()
-        return dst
-    key = (d_, h, w)
-    idx = _SCATTER_INDEX_CACHE.get(key)
-    if idx is None:
-        if len(_SCATTER_INDEX_CACHE) >= _SCATTER_CACHE_MAX:
-            _SCATTER_INDEX_CACHE.pop(next(iter(_SCATTER_INDEX_CACHE)))
-        d_i = np.arange(d_)[:, None, None] * (w * h)
-        r_i = np.arange(h)[None, :, None]
-        c_i = np.arange(w)[None, None, :] * h
-        idx = _SCATTER_INDEX_CACHE[key] = (d_i + r_i + c_i).reshape(-1)
-    dst.reshape(-1)[idx] = res.reshape(-1)
-    get_metrics().counter("compile.scatter", kind="cached").inc()
-    return dst
+    return np.ascontiguousarray(res.swapaxes(1, 2))

@@ -9,12 +9,17 @@ the paper amortises on hardware.  The engine removes both:
   geometry, grid/block dims, shared-memory layout, counters, timings and
   staging buffers are recorded once per ``(shape-bucket, pair, algorithm,
   device, opts)`` and reused for every further image in the bucket.
-* **Batch stacking**: same-bucket images are concatenated along each
-  kernel's grid-parallel matrix axis and run as ONE replayed launch with
-  that grid axis scaled by the batch depth.  Blocks along that axis are
-  fully independent in all three paper kernels (carries run along the
-  other axis), so the per-image results are bit-identical to solo runs
-  while the per-launch host overhead is paid once per chunk.
+* **Batch stacking**: same-bucket images are stacked into one padded
+  ``(depth, H, W)`` array and run as ONE launch per pass with each
+  kernel's grid-parallel axis scaled by the batch depth.  Blocks along
+  that axis are fully independent in all three paper kernels (carries
+  run along the other axis), so the per-image results are bit-identical
+  to solo runs while the per-launch host overhead is paid once per chunk.
+* **One warm path**: once a bucket is recorded, its warm chunks run the
+  plan's lowered program (:mod:`repro.compile`) whichever of ``gpusim``
+  or ``compiled`` was requested; only buckets without a program
+  (bounds-checked, lowering refused, program failed) replay each image
+  through the interpreter.
 
 Per-image stats are clones of the recorded cold launch — bit-identical to
 what looped ``sat()`` calls would report.  The *aggregate* modeled time is
@@ -46,7 +51,7 @@ from ..exec.registry import (
 from ..gpusim.cost.model import kernel_time
 from ..gpusim.device import get_device
 from ..gpusim.global_mem import GlobalArray
-from ..gpusim.launch import replay_kernel
+from ..gpusim.launch import replay_kernel, warm_launch
 from ..sat.common import SatRun
 from ..sat.naive import exclusive_from_inclusive
 from .plan import LaunchPlanCache, PlanKey, SatPlan
@@ -256,7 +261,8 @@ class Engine:
                 algorithm = decision.algorithm
                 opts = {**decision.opts_dict(), **opts}
                 # The planner may recommend the compiled backend for deep
-                # batches (warm tape replays amortise the cold compile).
+                # batches (which changes only the label and plan key:
+                # warm buckets run their lowered program either way).
                 # Apply it only when the caller left the backend floating
                 # on the simulator — an explicit backend request, in any
                 # spelling, always wins.
@@ -293,10 +299,10 @@ class Engine:
             if sanitize is not None:
                 call_opts["sanitize"] = sanitize
 
-        # gpusim batches stack interpreted replays; compiled batches stack
-        # lowered whole-grid programs over the same plans.  Everything else
-        # (host, baselines, sanitized runs) loops per image — the sanitizer
-        # is the trusted slow mode and never runs over compiled code.
+        # gpusim and compiled batches run warm buckets through their plan's
+        # lowered program.  Everything else (host, baselines, sanitized
+        # runs) loops per image — the sanitizer is the trusted slow mode
+        # and never runs over compiled code.
         batchable = res.backend in ("gpusim", "compiled")
 
         spec_method = BATCH_SPECS.get(algorithm)
@@ -441,35 +447,29 @@ class Engine:
         modeled_batched = 0.0
 
         # Key plans on the *resolved* modes, so equivalent spellings (env
-        # var vs. config object vs. kwarg) share plans and address tapes,
-        # while fused/legacy, bounds-checked and compiled variants stay
-        # distinct.
+        # var vs. config object vs. kwarg) share plans, while fused/legacy,
+        # bounds-checked and compiled variants stay distinct.
         key_opts = dict(opts, fused=res.fused, bounds_check=res.bounds_check)
-        compiled_mode = res.backend == "compiled"
-        if compiled_mode:
-            # The cold run must be the fully-accounted simulator run that
-            # records the plan this engine compiles; routing it through the
-            # compiled backend would record into the default engine's cache
-            # instead of this one's.
-            call_opts = dict(call_opts, backend="gpusim")
+        # The cold run must be the fully-accounted simulator run that
+        # records the plan this engine lowers; routing it through the
+        # compiled backend would record into the default engine's cache
+        # instead of this one's.
+        call_opts = dict(call_opts, backend="gpusim")
 
-        tracer = current_tracer()
         for grp in groups:
             key = PlanKey.make(algorithm, dev.name, tp.name, grp.bucket,
                                key_opts, backend=res.backend)
             plan = self.cache.get_or_create(key, spec)
-            pending = list(grp.indices)
             # One thread per plan: the cold recording run, lowering and the
-            # chunk replays all mutate plan state (launch plans, staging
+            # warm chunks all mutate plan state (launch plans, staging
             # buffers, the compiled program).  Workers on *different*
             # buckets proceed in parallel; a second worker racing into the
             # same cold bucket blocks here, then sees ``plan.recorded``
-            # and replays instead of double-running the cold compile.
+            # and runs warm instead of double-running the cold compile.
             with plan.lock:
                 hits, misses, modeled_batched = self._run_group_locked(
                     fn, imgs, tp, dev, algorithm, spec, opts, call_opts,
-                    res, grp, plan, pending, tracer,
-                    hits, misses, modeled_batched, runs,
+                    res, grp, plan, runs, hits, misses, modeled_batched,
                 )
 
         return BatchRun(
@@ -486,10 +486,14 @@ class Engine:
         )
 
     def _run_group_locked(self, fn, imgs, tp, dev, algorithm, spec, opts,
-                          call_opts, res, grp, plan, pending, tracer,
-                          hits, misses, modeled_batched, runs):
-        """Cold-record + replay one bucket group (caller holds plan.lock)."""
-        compiled_mode = res.backend == "compiled"
+                          call_opts, res, grp, plan, runs,
+                          hits, misses, modeled_batched):
+        """Cold-record, lower, then run warm chunks of one bucket group
+        (caller holds plan.lock).  Adds to and returns the running
+        ``(hits, misses, modeled_batched)``; the modeled time is summed in
+        one running order so the batch total is reproducible bit for bit."""
+        tracer = current_tracer()
+        pending = list(grp.indices)
         if not plan.recorded:
             # One cold, fully-accounted run records the bucket's plan.
             if tracer is not None:
@@ -499,46 +503,36 @@ class Engine:
             run0 = fn(imgs[i0], pair=tp, device=dev, **call_opts)
             for lp, s in zip(plan.launch_plans, run0.launches):
                 lp.record(replace(s, counters=s.counters.copy()))
-            if compiled_mode:
-                run0.backend = "compiled"
+            run0.backend = res.backend
             runs[i0] = run0
             misses += 1
             self.cache.note_miss()
             modeled_batched += run0.time_s
-        if compiled_mode and not res.bounds_check:
-            # Lower the recorded plan once per bucket; failure leaves
-            # the bucket on the interpreted replay path.
+        if not res.bounds_check:
+            # Lower the recorded plan once per bucket; a refusal leaves the
+            # bucket on the per-image replay path.
             from ..exec.backends import ensure_compiled
 
             ensure_compiled(plan, get_kernel_spec(algorithm), tp,
                             dict(opts, fused=res.fused))
-        if pending:
-            if tracer is not None:
-                tracer.event("plan.hit", category="batch",
-                             bucket=grp.bucket, n_images=len(pending),
-                             algorithm=algorithm)
-            hits += len(pending)
-            self.cache.note_hit(len(pending))
-            per_img = self.scheduler.stack_bytes(
-                grp.bucket, tp.input.np_dtype, tp.output.np_dtype
-            )
-            chunks = self.scheduler.chunk(
-                BucketGroup(grp.bucket, pending), per_img
-            )
-            for chunk in chunks:
-                if compiled_mode and plan.compiled is not None:
-                    modeled_batched += self._compiled_chunk(
-                        plan, spec, tp, dev, algorithm, imgs, chunk,
-                        runs, res,
-                    )
-                else:
-                    modeled_batched += self._replay_chunk(
-                        plan, spec, tp, dev, algorithm, imgs, chunk,
-                        runs, res,
-                    )
+        if not pending:
+            return hits, misses, modeled_batched
+        if tracer is not None:
+            tracer.event("plan.hit", category="batch",
+                         bucket=grp.bucket, n_images=len(pending),
+                         algorithm=algorithm)
+        hits += len(pending)
+        self.cache.note_hit(len(pending))
+        per_img = self.scheduler.stack_bytes(
+            grp.bucket, tp.input.np_dtype, tp.output.np_dtype
+        )
+        for chunk in self.scheduler.chunk(BucketGroup(grp.bucket, pending),
+                                          per_img):
+            modeled_batched += self._run_chunk(plan, spec, tp, dev, algorithm,
+                                               imgs, chunk, runs, res)
         return hits, misses, modeled_batched
 
-    def _replay_chunk(
+    def _run_chunk(
         self,
         plan: SatPlan,
         spec: BatchSpec,
@@ -550,190 +544,42 @@ class Engine:
         runs: List[Optional[SatRun]],
         res: ExecutionConfig,
     ) -> float:
-        """Run one stacked replay over ``chunk``; returns its modeled time."""
-        depth = len(chunk)
-        hp, wp = plan.key.bucket
-        first = spec.passes[0]
-        tracer = current_tracer()
-        chunk_scope = (
-            tracer.span(f"chunk:{algorithm}", category="chunk",
-                        algorithm=algorithm, depth=depth, bucket=(hp, wp))
-            if tracer is not None else nullcontext()
-        )
-        with chunk_scope as chunk_sp:
-            t_stacked = self._replay_chunk_inner(
-                plan, spec, tp, dev, algorithm, imgs, chunk, runs, res,
-                depth, hp, wp, first,
-            )
-        if chunk_sp is not None:
-            chunk_sp.attrs["modeled_us"] = t_stacked * 1e6
-        return t_stacked
+        """Stage, execute and split one warm chunk; returns its modeled time.
 
-    def _replay_chunk_inner(
-        self, plan, spec, tp, dev, algorithm, imgs, chunk, runs, res,
-        depth, hp, wp, first,
-    ) -> float:
-        # Stage the padded inputs into the plan's reusable buffer.  Pad
-        # regions are re-zeroed on every fill so replays see exactly what
-        # pad_matrix would have produced for each image.
-        if first.stack_in == "rows":
-            stag = plan.get_staging("input", (depth * hp, wp), tp.input.np_dtype)
-            for j, i in enumerate(chunk):
-                im = imgs[i]
-                h, w = im.shape
-                blk = stag[j * hp:(j + 1) * hp]
-                blk[:h, :w] = im
-                if h < hp:
-                    blk[h:, :] = 0
-                if w < wp:
-                    blk[:h, w:] = 0
-        else:
-            stag = plan.get_staging("input", (hp, depth * wp), tp.input.np_dtype)
-            for j, i in enumerate(chunk):
-                im = imgs[i]
-                h, w = im.shape
-                blk = stag[:, j * wp:(j + 1) * wp]
-                blk[:h, :w] = im
-                if h < hp:
-                    blk[h:, :] = 0
-                if w < wp:
-                    blk[:h, w:] = 0
-
-        cur = GlobalArray(stag, "batch_input")
-        cur_stack = first.stack_in
-        per_shape = (hp, wp)
-        t_stacked = 0.0
-
-        for pi, p in enumerate(spec.passes):
-            if cur_stack != p.stack_in:
-                # Restack: slice per image along the stacked axis, re-join
-                # along the axis the next pass parallelises over.
-                arr = cur.to_host()
-                if p.stack_in == "rows":
-                    arr = np.concatenate(
-                        [arr[:, j * per_shape[1]:(j + 1) * per_shape[1]]
-                         for j in range(depth)],
-                        axis=0,
-                    )
-                else:
-                    arr = np.concatenate(
-                        [arr[j * per_shape[0]:(j + 1) * per_shape[0], :]
-                         for j in range(depth)],
-                        axis=1,
-                    )
-                cur = GlobalArray(arr, "batch_restack")
-                cur_stack = p.stack_in
-
-            out_shape = (per_shape[1], per_shape[0]) if p.transposed else per_shape
-            if p.stack_out == "rows":
-                dst_shape = (depth * out_shape[0], out_shape[1])
-            else:
-                dst_shape = (out_shape[0], depth * out_shape[1])
-            # Kernels write every element of the padded stack, so the
-            # reused buffer needs no clearing between chunks.
-            dst = GlobalArray(
-                plan.get_staging(f"pass{pi}", dst_shape, tp.output.np_dtype),
-                f"batch_{p.name}",
-            )
-
-            lp = plan.launch_plans[pi]
-            grid = list(lp.stats.grid)
-            grid[_AXIS_INDEX[p.grid_axis]] *= depth
-            replay_kernel(
-                p.kernel, plan=lp, grid=tuple(grid),
-                args=(cur, dst) + tuple(p.extra_args),
-                bounds_check=res.bounds_check,
-            )
-            t_stacked += _stacked_time_s(lp.stats, depth)
-
-            cur = dst
-            cur_stack = p.stack_out
-            per_shape = out_shape
-
-        final = cur.to_host()
-        for j, i in enumerate(chunk):
-            if cur_stack == "cols":
-                view = final[:, j * per_shape[1]:(j + 1) * per_shape[1]]
-            else:
-                view = final[j * per_shape[0]:(j + 1) * per_shape[0], :]
-            h, w = imgs[i].shape
-            runs[i] = SatRun(
-                output=view[:h, :w].copy(),
-                launches=[lp.clone_stats() for lp in plan.launch_plans],
-                algorithm=algorithm,
-                device=dev.name,
-                pair=tp.name,
-            )
-        return t_stacked
-
-    def _compiled_chunk(
-        self,
-        plan: SatPlan,
-        spec: BatchSpec,
-        tp: TypePair,
-        dev,
-        algorithm: str,
-        imgs: List[np.ndarray],
-        chunk: List[int],
-        runs: List[Optional[SatRun]],
-        res: ExecutionConfig,
-    ) -> float:
-        """Run one chunk through the plan's compiled program.
-
-        The ``(depth, hp, wp)`` stack *is* the stacked launch — every
-        lowered pass vectorises over the leading batch axis exactly as the
-        interpreted replay scales its grid axis, with no restacking
-        between passes.  Outputs, per-image counters and the modeled
-        stacked time are bit-identical to :meth:`_replay_chunk`; an
-        execute-time failure drops the program (``compile.fallback``) and
-        reruns the chunk interpreted.
+        The chunk runs the plan's lowered program over the ``(depth, hp,
+        wp)`` stack when the bucket has one.  Every lowered pass vectorises
+        over the leading batch axis exactly as a stacked launch scales its
+        grid axis, so this *is* the stacked launch.  Buckets without a
+        program replay each image through the interpreter instead.  Either
+        way the per-image stats are clones of the recorded cold launch,
+        and the chunk is modeled as one stacked launch per pass.
         """
         depth = len(chunk)
         hp, wp = plan.key.bucket
-        # Stage straight into the accumulator dtype: the per-element cast
-        # input->acc is exactly the kernels' load-time astype, and the pad
-        # zeros are cast-invariant.  Images are first brought to the input
-        # dtype so a foreign-dtype image quantises identically to the
-        # interpreted staging path.
-        x3 = plan.get_staging("compiled_input", (depth, hp, wp),
-                              tp.output.np_dtype)
-        for j, i in enumerate(chunk):
-            im = imgs[i].astype(tp.input.np_dtype, copy=False)
-            h, w = im.shape
-            blk = x3[j]
-            blk[:h, :w] = im
-            if h < hp:
-                blk[h:, :] = 0
-            if w < wp:
-                blk[:h, w:] = 0
-
         tracer = current_tracer()
-        try:
-            with (tracer.span(f"chunk:{algorithm}", category="chunk",
-                              algorithm=algorithm, depth=depth,
-                              bucket=(hp, wp), backend="compiled")
-                  if tracer is not None else nullcontext()) as sp:
-                out3 = plan.compiled.run(x3)
-        except Exception as e:
-            plan.compiled = None
-            get_metrics().counter("compile.fallback",
-                                  algorithm=algorithm).inc()
-            timeline_count("compile_fallbacks")
-            if tracer is not None:
-                tracer.event("compile.fallback", category="compile",
-                             level="warning", algorithm=algorithm,
-                             reason=str(e))
-            return self._replay_chunk(
-                plan, spec, tp, dev, algorithm, imgs, chunk, runs, res
-            )
-
+        with (tracer.span(f"chunk:{algorithm}", category="chunk",
+                          algorithm=algorithm, depth=depth, bucket=(hp, wp),
+                          backend=res.backend)
+              if tracer is not None else nullcontext()) as sp:
+            chunk_imgs = [imgs[i] for i in chunk]
+            out3 = self._run_program(plan, spec, tp, algorithm, chunk_imgs,
+                                     res)
+            # Warm runs report the requested backend, except that a
+            # compiled request the interpreter served reports gpusim.
+            label = res.backend
+            if out3 is None:
+                label = "gpusim"
+                out3 = self._replay_images(
+                    plan, spec, tp,
+                    self._stage(plan, "input", chunk_imgs, tp,
+                                tp.input.np_dtype),
+                    res,
+                )
         t_stacked = sum(
             _stacked_time_s(lp.stats, depth) for lp in plan.launch_plans
         )
         if sp is not None:
             sp.attrs["modeled_us"] = t_stacked * 1e6
-        get_metrics().counter("compile.hit", algorithm=algorithm).inc(depth)
-        timeline_count("compile_hits", depth)
         for j, i in enumerate(chunk):
             h, w = imgs[i].shape
             runs[i] = SatRun(
@@ -742,9 +588,87 @@ class Engine:
                 algorithm=algorithm,
                 device=dev.name,
                 pair=tp.name,
-                backend="compiled",
+                backend=label,
             )
         return t_stacked
+
+    @staticmethod
+    def _stage(plan: SatPlan, role: str, imgs: List[np.ndarray],
+               tp: TypePair, dtype) -> np.ndarray:
+        """Copy ``imgs`` into the plan's reusable ``(depth, hp, wp)``
+        buffer of ``dtype``.  Each image is first brought to the input
+        dtype, so a foreign-dtype image quantises as the cold path does,
+        and pad regions are re-zeroed on every fill so each image sees
+        exactly what ``pad_matrix`` would have produced."""
+        hp, wp = plan.key.bucket
+        x3 = plan.get_staging(role, (len(imgs), hp, wp), dtype)
+        for j, im in enumerate(imgs):
+            im = im.astype(tp.input.np_dtype, copy=False)
+            h, w = im.shape
+            blk = x3[j]
+            blk[:h, :w] = im
+            if h < hp:
+                blk[h:, :] = 0
+            if w < wp:
+                blk[:h, w:] = 0
+        return x3
+
+    def _run_program(self, plan, spec, tp, algorithm, imgs,
+                     res) -> Optional[np.ndarray]:
+        """The lowered program's output stack for ``imgs``, or ``None``
+        when the bucket has no program.
+
+        Images are staged straight into the accumulator dtype: the
+        per-element cast input->acc is exactly the kernels' load-time
+        astype, and the pad zeros are cast-invariant.  An execute-time
+        failure drops the program (``compile.fallback``) and returns
+        ``None``.
+        """
+        if plan.compiled is None:
+            return None
+        depth = len(imgs)
+        x3 = self._stage(plan, "compiled_input", imgs, tp, tp.output.np_dtype)
+        try:
+            out3 = plan.compiled.run(x3)
+        except Exception as e:
+            plan.compiled = None
+            get_metrics().counter("compile.fallback",
+                                  algorithm=algorithm).inc()
+            timeline_count("compile_fallbacks")
+            tracer = current_tracer()
+            if tracer is not None:
+                tracer.event("compile.fallback", category="compile",
+                             level="warning", algorithm=algorithm,
+                             reason=str(e))
+            return None
+        get_metrics().counter("compile.hit", algorithm=algorithm).inc(depth)
+        timeline_count("compile_hits", depth)
+        for p, lp in zip(spec.passes, plan.launch_plans):
+            grid = list(lp.stats.grid)
+            grid[_AXIS_INDEX[p.grid_axis]] *= depth
+            warm_launch(lp.stats, grid, bounds_check=res.bounds_check)
+        return out3
+
+    @staticmethod
+    def _replay_images(plan, spec, tp, x3, res) -> np.ndarray:
+        """The no-program path: replay every pass per image at the
+        recorded grid.  Kernels write every element of their padded
+        output, so reused staging buffers need no clearing."""
+        acc = tp.output.np_dtype
+        out3 = np.empty(x3.shape, dtype=acc)
+        last = len(spec.passes) - 1
+        for j in range(x3.shape[0]):
+            cur = GlobalArray(x3[j], "batch_input")
+            for pi, (p, lp) in enumerate(zip(spec.passes, plan.launch_plans)):
+                h, w = cur.shape
+                buf = out3[j] if pi == last else plan.get_staging(
+                    f"pass{pi}", (w, h) if p.transposed else (h, w), acc)
+                dst = GlobalArray(buf, f"batch_{p.name}")
+                replay_kernel(p.kernel, plan=lp,
+                              args=(cur, dst) + tuple(p.extra_args),
+                              bounds_check=res.bounds_check)
+                cur = dst
+        return out3
 
 
 _default_engine: Optional[Engine] = None
@@ -780,12 +704,13 @@ def sat_batch(
         ``backend=``, ``config=``, ``autotune=``).  ``algorithm="auto"``
         (or leaving it unset with autotuning enabled) asks the
         :class:`~repro.plan.Planner` for the batch-aware choice — at
-        batch depth >= 4 that includes upgrading a floating ``gpusim``
-        backend to ``compiled`` so warm tape replays amortise the cold
-        compile.  ``sanitize=True`` runs the batch
-        fully instrumented (per-image cold launches, no plan replay);
-        ``backend="host"`` computes every image on the pure-NumPy
-        executor (no launches, no modeled time).
+        batch depth >= 4 that includes relabelling a floating ``gpusim``
+        backend as ``compiled``.  Warm buckets run their lowered program
+        on either backend; ``bounds_check=True`` replays them per image
+        through the interpreter instead.  ``sanitize=True`` runs the
+        batch fully instrumented (per-image cold launches, no plan
+        reuse); ``backend="host"`` computes every image on the
+        pure-NumPy executor (no launches, no modeled time).
     engine:
         Engine to run on; defaults to the process-wide
         :func:`default_engine` whose plan cache persists across calls.

@@ -5,17 +5,19 @@ the launch *geometry*: padded shapes, grid/block dims, shared-memory
 layout, coalescing/bank-conflict analysis and cost-model setup.  None of
 them depend on the pixel values.  A :class:`SatPlan` memoises all of that
 for one ``(shape-bucket, pair, algorithm, device, opts, backend)`` key —
-recorded once from a cold run, then replayed for every further image in
-the bucket via :func:`~repro.gpusim.launch.replay_kernel` (interpreted
-replay) or, on the ``compiled`` backend, executed as the plan's
-:class:`~repro.compile.lower.CompiledPlan` with zero interpreter steps.
+recorded once from a cold run, then lowered into the plan's
+:class:`~repro.compile.lower.CompiledPlan`, which every further image in
+the bucket executes with zero interpreter steps, on ``gpusim`` and
+``compiled`` alike.  Buckets without a program (bounds-checked, lowering
+refused, program failed) replay each image through
+:func:`~repro.gpusim.launch.replay_kernel` instead.
 
 The plan also owns the reusable padded staging buffers the batch path
 stacks images into, so steady-state batches allocate nothing per image.
 
 The cache is LRU-bounded (``max_plans``, default 256, overridable with
 ``REPRO_ENGINE_MAX_PLANS``) so varied shape streams cannot hoard plans,
-tapes and staging buffers without limit; evictions and the live size are
+programs and staging buffers without limit; evictions and the live size are
 exported through :func:`repro.obs.metrics.get_metrics` as
 ``engine.plan_cache.evictions`` / ``engine.plan_cache.size``.
 """
@@ -78,22 +80,21 @@ class SatPlan:
     launch_plans: List[LaunchPlan] = field(default_factory=list)
     #: Reusable padded staging buffers, keyed ``(role, shape, dtype-str)``.
     staging: Dict[tuple, np.ndarray] = field(default_factory=dict)
-    #: Lowered program (:class:`~repro.compile.lower.CompiledPlan`) for
-    #: the ``compiled`` backend; ``None`` until compiled (or after an
-    #: execute-time fallback dropped it).
+    #: Lowered program (:class:`~repro.compile.lower.CompiledPlan`) that
+    #: warm chunks run; ``None`` until compiled (or after an execute-time
+    #: fallback dropped it).
     compiled: Optional[object] = None
     #: Lowering attempts so far; a deterministic :class:`~repro.compile.
     #: lower.CompileError` pins this to ``MAX_COMPILE_ATTEMPTS`` so the
-    #: bucket stays on the interpreted path instead of recompiling forever.
+    #: bucket stays on per-image replay instead of recompiling forever.
     compile_attempts: int = 0
     #: Serialises every use of this plan across worker threads: the cold
-    #: recording run, lowering, and stacked replays all mutate plan state
+    #: recording run, lowering, and warm chunks all mutate plan state
     #: (launch plans, staging buffers, the compiled program), so exactly
     #: one thread may execute on a plan at a time.  Different plans run
-    #: fully in parallel.  Reentrant because a compiled-path fallback
-    #: re-enters the interpreted replay under the same lock.
-    lock: threading.RLock = field(default_factory=threading.RLock,
-                                  repr=False, compare=False)
+    #: fully in parallel.
+    lock: threading.Lock = field(default_factory=threading.Lock,
+                                 repr=False, compare=False)
 
     MAX_COMPILE_ATTEMPTS = 2
 
@@ -153,7 +154,7 @@ class LaunchPlanCache:
     cache.  The cache lock only guards the key -> plan map and the
     hit/miss/eviction statistics; *executing* on a plan is serialised by
     the plan's own :attr:`SatPlan.lock`, so a cold recording in one bucket
-    never blocks replays in another.  An evicted plan that a worker is
+    never blocks warm runs in another.  An evicted plan that a worker is
     still executing on stays alive through that worker's reference and is
     dropped when the worker releases it.
     """

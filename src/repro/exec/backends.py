@@ -1,4 +1,4 @@
-"""Built-in execution backends: gpusim, host and the tape-compiled executor.
+"""Built-in execution backends: gpusim, host and the compiled executor.
 
 All consume the same :class:`~repro.exec.registry.KernelSpec` — geometry,
 batch axes and pass semantics are declared once per algorithm and the
@@ -227,7 +227,7 @@ def ensure_compiled(plan, spec: KernelSpec, tp: TypePair,
 
 
 class CompiledBackend:
-    """Execute a :class:`KernelSpec` through tape-compiled launch plans.
+    """Execute a :class:`KernelSpec` through compiled launch plans.
 
     Plans live in the default engine's :class:`~repro.engine.plan.
     LaunchPlanCache` (keyed with ``backend="compiled"``), so single

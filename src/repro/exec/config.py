@@ -100,7 +100,7 @@ class ExecutionConfig:
     bounds_check: Optional[bool] = None
     #: Execution backend name from the :mod:`repro.exec.registry`
     #: (``"gpusim"`` — the simulator —, ``"host"`` — pure NumPy pass
-    #: semantics —, or ``"compiled"`` — tape-compiled plan replay).
+    #: semantics —, or ``"compiled"`` — lowered plan replay).
     backend: Optional[str] = None
     #: Default simulated device name (any :data:`repro.gpusim.device.
     #: DEVICES` entry — ``"P100"``, ``"V100"``, ``"A100"``...).

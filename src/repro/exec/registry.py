@@ -2,8 +2,8 @@
 
 A :class:`KernelSpec` is the single declaration of how one SAT algorithm
 executes: per pass, the kernel body, the launch geometry (grid/block as a
-function of the padded shape), the batch-stacking axes and the replay
-grid axis.  The three paper kernels register their specs at import time
+function of the padded shape) and the grid axis a batch stacks along.
+The three paper kernels register their specs at import time
 (:mod:`repro.sat.brlt_scanrow` and friends); drivers — the public
 :func:`repro.sat` API, the batched engine, benchmarks — read the spec
 instead of hard-coding geometry per call site.
@@ -57,8 +57,8 @@ class PassSpec:
     ``fused`` mode); ``host(arr)`` is the pass's mathematical semantics on
     a host array (already in the accumulator dtype), used by the ``host``
     backend and by nothing else; ``lower(stats, tp, opts)`` (optional)
-    returns the pass's closed-form NumPy program for the ``compiled``
-    backend — a ``(depth, H, W) -> (depth, H', W')`` function bit-identical
+    returns the pass's closed-form NumPy program for warm execution — a
+    ``(depth, H, W) -> (depth, H', W')`` function bit-identical
     to the kernel, built from the *recorded* launch stats (see
     :mod:`repro.compile`).
     """
@@ -73,19 +73,16 @@ class PassSpec:
     extra_args: Callable[[Mapping], tuple]
     #: Pure-NumPy pass semantics: ``(array in acc dtype) -> array``.
     host: Callable
-    #: Grid axis ("x" or "y") scaled by the batch depth on stacked replay.
+    #: Grid axis ("x" or "y") whose blocks are independent; a stacked
+    #: batch of depth ``B`` is one launch with this axis scaled by ``B``.
     grid_axis: str
-    #: Matrix axis the *input* images stack along ("rows" or "cols").
-    stack_in: str
-    #: Matrix axis the *output* images come out stacked along.
-    stack_out: str
     #: Whether the per-image output shape is the input shape transposed.
     transposed: bool
     #: Outstanding loads per warp fed to the cost model.
     mlp: int = 32
-    #: Optional tape-compiler hook: ``(LaunchStats, TypePair, opts) ->
-    #: callable`` lowering this pass for the ``compiled`` backend, or
-    #: ``None`` when the pass cannot be compiled.
+    #: Optional compiler hook: ``(LaunchStats, TypePair, opts) ->
+    #: LoweredPass`` lowering this pass for warm execution, or ``None``
+    #: when the pass cannot be compiled.
     lower: Optional[Callable] = None
 
 
@@ -109,8 +106,6 @@ class KernelSpec:
                     name=p.name,
                     extra_args=p.extra_args(opts),
                     grid_axis=p.grid_axis,
-                    stack_in=p.stack_in,
-                    stack_out=p.stack_out,
                     transposed=p.transposed,
                 )
                 for p in self.passes
@@ -125,11 +120,10 @@ class BatchPass:
 
     All of the paper's kernels parallelise over independent blocks along
     exactly one grid axis (row bands or column stripes) while carries run
-    along the *other* matrix axis.  A batch of same-bucket images can
-    therefore be concatenated along the grid-parallel matrix axis and run
-    as a single launch with that grid axis scaled by the batch depth —
-    block-for-block the same work as the solo launches, so the per-image
-    data is bit-identical (see docs/engine.md).
+    along the *other* matrix axis.  A batch of same-bucket images is
+    therefore modeled as a single launch with that grid axis scaled by the
+    batch depth — block-for-block the same work as the solo launches, so
+    the per-image data is bit-identical (see docs/engine.md).
     """
 
     kernel: Callable
@@ -137,8 +131,6 @@ class BatchPass:
     #: Trailing kernel arguments after ``(src, dst)``.
     extra_args: tuple
     grid_axis: str
-    stack_in: str
-    stack_out: str
     transposed: bool
 
 

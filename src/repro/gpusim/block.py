@@ -76,9 +76,6 @@ class KernelContext:
         #: dependency-chain accounting is skipped because the launch reuses
         #: the counters/timings recorded by an identical cold launch.
         self.record = record
-        #: Address tape of the owning plan replay (see
-        #: :mod:`repro.gpusim.replay`); ``None`` outside taped replays.
-        self.tape = None
         self.grid = _as_dim3(grid)
         self.block = _as_dim3(block)
         self.threads_per_block = int(np.prod(self.block))

@@ -287,11 +287,6 @@ class GlobalArray:
         ``dependent=True`` charges the full DRAM latency to the dependency
         chain (used by the pointer-chase micro-benchmark).
         """
-        tape = ctx.tape
-        if tape is not None and tape.playing:
-            e = tape.next("gmem.load")
-            if e is not None:
-                return RegArray(ctx, e.gather(self.data))
         flat = self._flat_index(ctx, index)
         mask = ctx._combine_mask(lane_mask)
         self._account(ctx, flat, mask, store=False)
@@ -304,10 +299,6 @@ class GlobalArray:
         maskb = None if mask is None else np.broadcast_to(mask, vals.shape)
         if maskb is not None:
             vals = np.where(maskb, vals, self.data.dtype.type(0))
-        if tape is not None and tape.alive:
-            tape.add_gather(
-                "gmem.load", self.data, safe, mask, maskb, 1, ctx.shape
-            )
         return RegArray(ctx, vals)
 
     def load_vector(
@@ -410,13 +401,7 @@ class GlobalArray:
         lane_mask: Optional[np.ndarray] = None,
     ) -> None:
         """Warp store under ``lane_mask``."""
-        tape = ctx.tape
         vals = value.a if isinstance(value, RegArray) else np.asarray(value)
-        if tape is not None and tape.playing:
-            e = tape.next("gmem.store")
-            if e is not None:
-                e.scatter(self.data, vals)
-                return
         flat = self._flat_index(ctx, index)
         mask = ctx._combine_mask(lane_mask)
         self._account(ctx, flat, mask, store=True)
@@ -425,16 +410,10 @@ class GlobalArray:
         full_vals = np.broadcast_to(ctx.broadcast_full(vals), full.shape)
         target = self.data.reshape(-1)
         if mask is None:
-            m = None
             target[full.ravel()] = full_vals.astype(self.data.dtype, copy=False).ravel()
         else:
             m = np.broadcast_to(mask, full.shape)
             target[full[m]] = full_vals[m].astype(self.data.dtype, copy=False)
-        if tape is not None and tape.alive:
-            tape.add_scatter(
-                "gmem.store", self.data, full, mask, m, 1, ctx.shape,
-                vshape=full.shape, movex=False,
-            )
 
     # -- tile-granular (fused register-bank) accesses -----------------------
     def _tile_addrs(
@@ -470,11 +449,6 @@ class GlobalArray:
         the per-register address rows), ``count`` load instructions, and
         ``count`` issue slots on the dependency chain.
         """
-        tape = ctx.tape
-        if tape is not None and tape.playing:
-            e = tape.next("gmem.load_tile")
-            if e is not None:
-                return RegBank(ctx, e.gather(self.data))
         mask = ctx._combine_mask(lane_mask)
         stacked, smask = self._tile_addrs(ctx, index, count, reg_stride, mask)
         itemsize = self.data.itemsize
@@ -495,16 +469,6 @@ class GlobalArray:
         vals = self.data.reshape(-1)[safe]
         if mask is not None:
             vals = np.where(smask, vals, self.data.dtype.type(0))
-        if tape is not None and tape.alive:
-            # Taped in the bank's (B, W, L, count) layout so playback
-            # gathers straight into register order.
-            idx_t = np.moveaxis(safe, 0, -1)
-            mask_t = None if mask is None else np.broadcast_to(
-                mask[..., None], idx_t.shape
-            )
-            tape.add_gather(
-                "gmem.load_tile", self.data, idx_t, mask, mask_t, 1, ctx.shape
-            )
         return RegBank(ctx, np.ascontiguousarray(np.moveaxis(vals, 0, -1)))
 
     def store_tile(
@@ -522,12 +486,6 @@ class GlobalArray:
         """
         count = bank.nregs
         bank._require_init("store")
-        tape = ctx.tape
-        if tape is not None and tape.playing:
-            e = tape.next("gmem.store_tile")
-            if e is not None:
-                e.scatter(self.data, bank.a)
-                return
         mask = ctx._combine_mask(lane_mask)
         stacked, smask = self._tile_addrs(ctx, index, count, reg_stride, mask)
         itemsize = self.data.itemsize
@@ -553,8 +511,3 @@ class GlobalArray:
             target[stacked.ravel()] = vals.astype(self.data.dtype, copy=False).ravel()
         else:
             target[stacked[smask]] = vals[smask].astype(self.data.dtype, copy=False)
-        if tape is not None and tape.alive:
-            tape.add_scatter(
-                "gmem.store_tile", self.data, stacked, mask, smask, 2, ctx.shape,
-                vshape=ctx.shape + (count,), movex=True,
-            )

@@ -15,8 +15,8 @@ register-pressure behaviour for ``64f``.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,10 +27,12 @@ from .block import KernelContext
 from .counters import CostCounters
 from .device import DeviceSpec, get_device
 from .cost.model import KernelTiming, kernel_time
-from .replay import ReplayTape, TapeMismatchError
 from .sanitize import Sanitizer
 
-__all__ = ["LaunchStats", "LaunchPlan", "launch_kernel", "replay_kernel"]
+__all__ = [
+    "LaunchStats", "LaunchPlan", "launch_kernel", "replay_kernel",
+    "warm_launch",
+]
 
 
 @dataclass
@@ -102,13 +104,6 @@ class LaunchPlan:
 
     #: Stats of the recorded cold launch (``None`` until recorded).
     stats: Optional[LaunchStats] = None
-    #: Address tapes recorded by the first replay at each grid (batched
-    #: stacks replay the plan at several depths; see
-    #: :mod:`repro.gpusim.replay`).  Bounded FIFO so depth churn cannot
-    #: hoard index memory.
-    tapes: Dict[Tuple[int, int, int], ReplayTape] = field(default_factory=dict)
-
-    MAX_TAPES = 4
 
     @property
     def recorded(self) -> bool:
@@ -131,92 +126,66 @@ class LaunchPlan:
         return replace(self.stats, counters=self.stats.counters.copy())
 
 
+def warm_launch(
+    stats: LaunchStats,
+    grid: Sequence[int],
+    body: Optional[Callable[[], None]] = None,
+    *,
+    bounds_check: Optional[bool] = None,
+) -> None:
+    """Telemetry of one warm launch: every warm execution path emits it.
+
+    Counts ``gpusim.replays{kernel}`` and, when tracing, records a
+    ``replay``-category span around ``body`` annotated with the recorded
+    launch (:func:`~repro.obs.trace.annotate_launch`) and the ``grid`` the
+    warm launch covered.  :func:`replay_kernel` passes the kernel run as
+    ``body``; the engine's lowered chunks, whose program runs every pass
+    at once, call it with no body once per pass at the stacked grid.  The
+    modeled track therefore looks the same whichever path ran.
+    """
+    get_metrics().counter("gpusim.replays", kernel=stats.name).inc()
+    tracer = current_tracer()
+    if tracer is None:
+        if body is not None:
+            body()
+        return
+    with tracer.span(stats.name, category="replay") as sp:
+        if body is not None:
+            body()
+    annotate_launch(sp, stats, bounds_check=bounds_check)
+    sp.attrs["grid"] = tuple(grid)
+
+
 def replay_kernel(
     fn: Callable[..., None],
     *,
     plan: LaunchPlan,
-    grid: Optional[Union[int, Sequence[int]]] = None,
     args: Sequence = (),
     bounds_check: Optional[bool] = None,
 ) -> LaunchStats:
     """Re-execute a recorded launch on new data, skipping redundant setup.
 
-    The kernel body runs in full (data movement is real), but the context
-    is created with ``record=False`` so all counter, coalescing and
-    dependency-chain accounting — the dominant per-launch fixed cost — is
-    skipped.  The returned stats are cloned from the plan's recorded cold
-    launch and are bit-identical to a fresh cold run of the same geometry.
+    The kernel body runs in full at the recorded grid (data movement is
+    real), but the context is created with ``record=False`` so all
+    counter, coalescing and dependency-chain accounting — the dominant
+    per-launch fixed cost — is skipped.  The returned stats are cloned
+    from the plan's recorded cold launch and are bit-identical to a fresh
+    cold run of the same geometry.
 
-    ``grid`` may override the recorded grid (the batched-stack path scales
-    one grid axis by the number of stacked images); counters still describe
-    the recorded per-image geometry.
-
-    The first replay at each grid additionally records an address tape
-    (:class:`~repro.gpusim.replay.ReplayTape`): later replays reuse the
-    memoised gather/scatter geometry instead of recomputing index
-    arithmetic per op.  Tapes are skipped when bounds checking is active
-    (``bounds_check=True``, or ``None`` with the mode resolving on — the
-    slow path carries the checks), and a kernel that diverges from its
-    taped op sequence is transparently re-run untaped.
+    This is the warm path of buckets that have no lowered program: bounds
+    checked buckets, and buckets whose lowering was refused or whose
+    program failed at execute time.
     """
     if plan.stats is None:
         raise RuntimeError("replay_kernel() requires a recorded plan")
     if bounds_check is None:
         bounds_check = resolve_execution().bounds_check
     s = plan.stats
-    ctx = KernelContext(
-        s.device, grid if grid is not None else s.grid, s.block, record=False,
-        bounds_check=bounds_check,
-    )
+    ctx = KernelContext(s.device, s.grid, s.block, record=False,
+                        bounds_check=bounds_check)
     ctx.kernel_name = s.name
-    tape = None
-    if not bounds_check:
-        tape = plan.tapes.get(ctx.grid)
-        if tape is None:
-            if len(plan.tapes) >= LaunchPlan.MAX_TAPES:
-                plan.tapes.pop(next(iter(plan.tapes)))
-            tape = ReplayTape()
-            plan.tapes[ctx.grid] = tape
-        if tape.dead:
-            tape = None
-        else:
-            tape.rewind()
-            ctx.tape = tape
-    tracer = current_tracer()
-    get_metrics().counter("gpusim.replays", kernel=s.name).inc()
-    with (tracer.span(s.name, category="replay", grid=ctx.grid,
-                      taped=tape is not None)
-          if tracer is not None else nullcontext()) as sp:
-        try:
-            fn(ctx, *args)
-            if tape is not None:
-                tape.finish()
-        except TapeMismatchError:
-            # Data-dependent op sequence: drop the tape and re-run untaped.
-            # Kernels only read their inputs and (re)write outputs/registers,
-            # so a partially-played launch is fully overwritten by the rerun.
-            tape.kill()
-            if tracer is not None:
-                tracer.event("tape.mismatch", category="replay", kernel=s.name)
-                # Warning-level twin of the mismatch event: the untaped
-                # rerun is a silent slow path, surfaced so `repro profile`
-                # makes regressions visible.
-                tracer.event("tape.fallback", category="replay",
-                             level="warning", kernel=s.name, grid=ctx.grid)
-            get_metrics().counter("gpusim.tape_mismatches", kernel=s.name).inc()
-            get_metrics().counter("tape.fallback", kernel=s.name).inc()
-            ctx = KernelContext(s.device, ctx.grid, s.block, record=False,
-                                bounds_check=bounds_check)
-            ctx.kernel_name = s.name
-            fn(ctx, *args)
-    out = plan.clone_stats()
-    if sp is not None:
-        # Replay stats are clones of the recorded cold launch; the span
-        # keeps the replay grid it ran at (batched stacks scale one axis).
-        replay_grid = sp.attrs.pop("grid")
-        annotate_launch(sp, out, bounds_check=bounds_check)
-        sp.attrs["grid"] = tuple(replay_grid)
-    return out
+    warm_launch(s, ctx.grid, lambda: fn(ctx, *args), bounds_check=bounds_check)
+    return plan.clone_stats()
 
 
 def launch_kernel(

@@ -324,13 +324,7 @@ class SharedMem:
     ) -> None:
         """Store ``value`` (RegArray or scalar) at ``idx`` under ``lane_mask``."""
         ctx = self.ctx
-        tape = ctx.tape
         vals = value.a if isinstance(value, RegArray) else np.asarray(value)
-        if tape is not None and tape.playing:
-            e = tape.next("smem.store")
-            if e is not None:
-                e.scatter(self.data, vals)
-                return
         off = self._offsets(idx)
         self._account(off, lane_mask, store=True, dependent=dependent)
         mask = ctx._combine_mask(lane_mask)
@@ -340,25 +334,12 @@ class SharedMem:
         full_vals = np.broadcast_to(ctx.broadcast_full(vals), full_off.shape)
         blk = np.broadcast_to(ctx.block_linear_index(), full_off.shape)
         if mask is None:
-            m = None
             self.data[blk.ravel(), full_off.ravel()] = (
                 full_vals.astype(self.dtype, copy=False).ravel()
             )
         else:
             m = np.broadcast_to(mask, full_off.shape)
             self.data[blk[m], full_off[m]] = full_vals[m].astype(self.dtype, copy=False)
-        if tape is not None and tape.alive:
-            # Flat addressing only matches the 2-D store when every written
-            # per-block offset is in range (no numpy negative wrapping).
-            written = full_off if m is None else full_off[m]
-            if written.size and 0 <= int(written.min()) and int(written.max()) < self.elems:
-                flat = blk.astype(np.int64) * self.elems + full_off
-                tape.add_scatter(
-                    "smem.store", self.data, flat, mask, m, 1, ctx.shape,
-                    vshape=full_off.shape, movex=False,
-                )
-            else:
-                tape.add_passthrough("smem.store")
 
     def load(
         self,
@@ -368,11 +349,6 @@ class SharedMem:
     ) -> RegArray:
         """Load a register from ``idx`` under ``lane_mask`` (inactive lanes get 0)."""
         ctx = self.ctx
-        tape = ctx.tape
-        if tape is not None and tape.playing:
-            e = tape.next("smem.load")
-            if e is not None:
-                return RegArray(ctx, e.gather(self.data))
         off = self._offsets(idx)
         self._account(off, lane_mask, store=False, dependent=dependent)
         mask = ctx._combine_mask(lane_mask)
@@ -384,16 +360,6 @@ class SharedMem:
         maskb = None if mask is None else np.broadcast_to(mask, vals.shape)
         if maskb is not None:
             vals = np.where(maskb, vals, self.dtype.type(0))
-        if tape is not None and tape.alive:
-            # The cold 2-D gather touches every lane, so all offsets must
-            # be in range for the flat form to be equivalent.
-            if 0 <= int(full_off.min()) and int(full_off.max()) < self.elems:
-                flat = blk.astype(np.int64) * self.elems + full_off
-                tape.add_gather(
-                    "smem.load", self.data, flat, mask, maskb, 1, ctx.shape
-                )
-            else:
-                tape.add_passthrough("smem.load")
         return RegArray(ctx, vals)
 
     # -- tile-granular (fused register-bank) accesses -------------------
@@ -414,12 +380,6 @@ class SharedMem:
         count = bank.nregs
         bank._require_init("store")
         ctx = self.ctx
-        tape = ctx.tape
-        if tape is not None and tape.playing:
-            e = tape.next("smem.store_tile")
-            if e is not None:
-                e.scatter(self.data, bank.a)
-                return
         off0 = self._offsets(idx)
         self._account_tile(off0, count, reg_stride, lane_mask,
                            store=True, dependent=dependent)
@@ -440,18 +400,10 @@ class SharedMem:
         vals = np.moveaxis(np.broadcast_to(bank.a, ctx.shape + (count,)), -1, 0)
         dflat = self.data.reshape(-1)
         if mask is None:
-            m = None
             dflat[flat.ravel()] = vals.astype(self.dtype, copy=False).ravel()
         else:
             m = np.broadcast_to(mask[None], flat.shape)
             dflat[flat[m]] = vals[m].astype(self.dtype, copy=False)
-        if tape is not None and tape.alive:
-            # The cold tile path scatters through the same flat indices, so
-            # taping them is exact; no range proof needed.
-            tape.add_scatter(
-                "smem.store_tile", self.data, flat, mask, m, 2, ctx.shape,
-                vshape=ctx.shape + (count,), movex=True,
-            )
 
     def load_tile(
         self,
@@ -467,11 +419,6 @@ class SharedMem:
         ``count`` separate loads.
         """
         ctx = self.ctx
-        tape = ctx.tape
-        if tape is not None and tape.playing:
-            e = tape.next("smem.load_tile")
-            if e is not None:
-                return RegBank(ctx, e.gather(self.data))
         off0 = self._offsets(idx)
         self._account_tile(off0, count, reg_stride, lane_mask,
                            store=False, dependent=dependent)
@@ -490,12 +437,6 @@ class SharedMem:
         maskb = None if mask is None else np.broadcast_to(mask[..., None], vals.shape)
         if maskb is not None:
             vals = np.where(maskb, vals, self.dtype.type(0))
-        if tape is not None and tape.alive:
-            # The cold tile path gathers through the same flat indices, so
-            # taping them is exact; no range proof needed.
-            tape.add_gather(
-                "smem.load_tile", self.data, flat, mask, maskb, 1, ctx.shape
-            )
         return RegBank(ctx, vals)
 
     def fill(self, value) -> None:

@@ -2,8 +2,8 @@
 
 One process-global :class:`MetricsRegistry` (:func:`get_metrics`)
 aggregates across every ``sat()`` / ``sat_batch()`` call — LightScan-style
-throughput figures (images/s, effective GB/s) and plan-cache / tape-reuse
-rates fall out of the same data instead of being recomputed ad hoc per
+throughput figures (images/s, effective GB/s) and plan-cache / compile
+reuse rates fall out of the same data instead of being recomputed ad hoc per
 benchmark.  Instruments are labelled, e.g.::
 
     get_metrics().counter("sat.calls", algorithm="brlt_scanrow").inc()

@@ -28,11 +28,11 @@ category           emitted by
 =================  ====================================================
 ``sat``            one backend ``run()`` (all passes of one algorithm)
 ``launch``         :func:`~repro.gpusim.launch.launch_kernel` (cold)
-``replay``         :func:`~repro.gpusim.launch.replay_kernel`
+``replay``         :func:`~repro.gpusim.launch.warm_launch` (any warm run)
 ``kernel.phase``   a stage inside a kernel body (load/brlt/scan/...)
 ``pass.host``      one host-backend pass
 ``batch``          one :meth:`~repro.engine.batch.Engine.run_batch`
-``chunk``          one stacked replay chunk of the engine
+``chunk``          one warm stacked chunk of the engine
 ``calibrate``      one :class:`~repro.harness.runner.Runner` calibration
 =================  ====================================================
 
@@ -138,7 +138,7 @@ class Tracer:
 
     def __init__(self):
         self.spans: List[Span] = []
-        #: Instant events: plan-cache hits/misses, tape mismatches...
+        #: Instant events: plan-cache hits/misses, compile fallbacks...
         self.events: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
         self._local = threading.local()

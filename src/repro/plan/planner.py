@@ -68,8 +68,9 @@ __all__ = [
 DEFAULT_ALGORITHM = "brlt_scanrow"
 
 #: Batch depth from which the planner recommends the ``compiled``
-#: backend: warm tape replays amortise the one cold compile by roughly
-#: this depth (BENCH_batch.json's warm-vs-cold wall curves).
+#: backend.  Warm batches run the lowered program on either backend, so
+#: for batches the recommendation changes only the reported backend and
+#: the plan key.
 COMPILED_BATCH_MIN = 4
 
 #: Representative square edges for shape buckets.  A shape maps to the

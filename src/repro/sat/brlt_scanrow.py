@@ -165,12 +165,9 @@ _PASS = dict(
     extra_args=_extra_args,
     host=_host_pass,
     lower=_lower_pass,
-    # Band-parallel over grid y: rows-stacked input (more independent
-    # 32-row bands); the transposed store emits cols-stacked output, so
-    # the engine restacks between the passes.
+    # Band-parallel over grid y: a stacked batch adds independent 32-row
+    # bands.
     grid_axis="y",
-    stack_in="rows",
-    stack_out="cols",
     transposed=True,
 )
 

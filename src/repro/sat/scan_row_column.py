@@ -213,10 +213,8 @@ SPEC = register_kernel_spec(
         algorithm="scan_row_column",
         pad=(32, 32),
         passes=(
-            # ScanRow is row-parallel over grid y (rows-stacked in and
-            # out, natural orientation); ScanColumn is stripe-parallel
-            # over grid x, so its input must be cols-stacked — the engine
-            # restacks between the passes.
+            # ScanRow is row-parallel over grid y; ScanColumn is
+            # stripe-parallel over grid x.
             PassSpec(
                 name="ScanRow",
                 kernel=scanrow_kernel,
@@ -224,8 +222,6 @@ SPEC = register_kernel_spec(
                 extra_args=lambda o: (o.get("scan", "kogge_stone"), o.get("fused")),
                 host=lambda a: np.cumsum(a, axis=1, dtype=a.dtype),
                 grid_axis="y",
-                stack_in="rows",
-                stack_out="rows",
                 transposed=False,
                 lower=_lower_scanrow,
             ),
@@ -236,8 +232,6 @@ SPEC = register_kernel_spec(
                 extra_args=lambda o: (o.get("fused"),),
                 host=lambda a: np.cumsum(a, axis=0, dtype=a.dtype),
                 grid_axis="x",
-                stack_in="cols",
-                stack_out="cols",
                 transposed=False,
                 lower=_lower_scancolumn,
             ),

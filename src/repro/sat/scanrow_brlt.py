@@ -164,11 +164,8 @@ _PASS = dict(
     extra_args=_extra_args,
     host=_host_pass,
     lower=_lower_pass,
-    # Same stacking as BRLT-ScanRow: band-parallel over grid y, stores
-    # transposed so rows-stacked input emits cols-stacked output.
+    # Same stacking as BRLT-ScanRow: band-parallel over grid y.
     grid_axis="y",
-    stack_in="rows",
-    stack_out="cols",
     transposed=True,
 )
 

@@ -1,8 +1,8 @@
 """Dynamic request batcher: demand-driven coalescing.
 
 The batcher is the piece that turns chaotic concurrent traffic into the
-warm, same-shaped batches the engine's plan cache and address tapes make
-nearly free.  Requests are grouped by their **compatibility key** — every
+warm, same-shaped batches the engine's plan cache and lowered programs
+make nearly free.  Requests are grouped by their **compatibility key** — every
 dimension the batched launch geometry depends on:
 
 * algorithm and dtype pair,

@@ -12,8 +12,8 @@ Fault isolation
 ---------------
 A worker never dies on a request failure:
 
-* a batched launch that raises (e.g. a ``TapeMismatchError`` or
-  ``CompileError`` escaping the engine's own fallbacks) increments
+* a batched launch that raises (any exception escaping the engine's own
+  fallbacks, e.g. a ``CompileError``) increments
   ``serve.worker_error`` and is **retried solo**, one request at a time,
   so one poisoned request cannot fail its batch-mates;
 * a solo execution failure fails *that request only*, with a structured

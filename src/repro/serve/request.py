@@ -178,7 +178,7 @@ class ServeError(RuntimeError):
 
     ``code`` is a small stable vocabulary (``"bad_request"`` — invalid
     parameters, fails before/after execution; ``"execution_error"`` — the
-    launch itself raised, e.g. an injected ``TapeMismatchError``;
+    launch itself raised, e.g. an injected ``CompileError``;
     ``"shutdown"`` — the service closed before the request ran).  The
     worker pool attaches the original exception type and message in
     ``details`` so clients can log root causes without parsing strings.

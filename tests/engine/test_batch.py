@@ -59,8 +59,8 @@ class TestBatchVsSequential:
         assert_run_pairs_identical(run.runs, solo)
 
     def test_warm_engine_replays_identically(self):
-        """Second call on the same engine hits the plan cache *and* the
-        address tapes recorded by the first — results must not drift."""
+        """Second call on the same engine hits the plan cache and runs
+        every image through the lowered program — results must not drift."""
         eng = Engine()
         imgs = make_images([(64, 96)] * 4)
         first = sat_batch(imgs, pair="8u32s", engine=eng)
@@ -79,8 +79,8 @@ class TestBatchVsSequential:
         assert_run_pairs_identical(run.runs, solo)
 
     def test_identical_under_bounds_check(self, monkeypatch):
-        """Bounds checking disables the address tapes; replays must still
-        match (just on the slow path)."""
+        """Bounds-checked batches have no lowered program and replay each
+        image through the interpreter; results must still match."""
         monkeypatch.setenv("REPRO_GPUSIM_BOUNDS_CHECK", "1")
         imgs = make_images([(64, 64)] * 3)
         run = sat_batch(imgs, pair="8u32s", engine=Engine())

@@ -5,8 +5,7 @@ shared plan cache: a cold call records and lowers, warm calls execute the
 compiled program, lowering refusals pin the bucket to the interpreted
 path, execute-time failures drop the program and recompile on the next
 call, and the trusted slow modes (sanitizer, bounds checks) never run
-over compiled code.  The ``tape.fallback`` twin of the replay tape's
-mismatch path is checked here too.
+over compiled code.
 """
 
 import numpy as np
@@ -14,10 +13,7 @@ import pytest
 
 from repro.engine import Engine
 from repro.engine.batch import default_engine
-from repro.gpusim.launch import LaunchPlan, launch_kernel, replay_kernel
-from repro.gpusim.replay import TapeMismatchError
 from repro.obs import get_metrics, reset_metrics
-from repro.obs.trace import Tracer, tracing
 from repro.sat.api import sat
 
 from ..helpers import make_image
@@ -155,26 +151,3 @@ class TestBatchLifecycle:
         assert m.counter_total("compile.miss") == 1
         assert m.counter_total("compile.hit") == 4
 
-
-class TestTapeFallback:
-    def test_tape_mismatch_rerun_emits_warning_metric(self):
-        ran = []
-
-        def kern(ctx):
-            if getattr(ctx, "tape", None) is not None:
-                raise TapeMismatchError("data-dependent op sequence")
-            ran.append(1)
-
-        stats = launch_kernel(kern, device="P100", grid=1, block=32,
-                              regs_per_thread=8)
-        plan = LaunchPlan()
-        plan.record(stats)
-        with tracing(Tracer()) as tr:
-            out = replay_kernel(kern, plan=plan)
-        assert len(ran) == 2  # cold launch + untaped rerun
-        assert out.time_us == stats.time_us
-        m = get_metrics()
-        assert m.counter_total("tape.fallback") == 1
-        assert m.counter_total("gpusim.tape_mismatches") == 1
-        warn = [e for e in tr.events if e["name"] == "tape.fallback"]
-        assert len(warn) == 1 and warn[0]["level"] == "warning"

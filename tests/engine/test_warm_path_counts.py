@@ -1,0 +1,77 @@
+"""Warm-path guard: exact counts of interpreter work per warm batch.
+
+A warm bucket with a lowered program must not touch the interpreter at
+all, whichever backend was requested; a bounds-checked warm bucket has
+no program and replays each image pass by pass at the recorded grid.
+Both are counted exactly — ``KernelContext`` constructions and
+``replay_kernel`` calls — so the guard cannot flake on wall time.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.engine import BATCH_SPECS, Engine
+from repro.engine import batch as batch_mod
+from repro.exec.config import ExecutionConfig, execution
+from repro.exec.registry import get_kernel_spec
+from repro.gpusim import launch as launch_mod
+
+from ..helpers import make_image
+
+DEPTH = 8
+SHAPE = (128, 128)
+PAIR = "8u32s"
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Count contexts by kind (cold launches record, replays do not) and
+    the engine's ``replay_kernel`` calls."""
+    n = {"launch_ctx": 0, "replay_ctx": 0, "replay_kernel": 0}
+    real_ctx = launch_mod.KernelContext
+    real_replay = batch_mod.replay_kernel
+
+    def counting_ctx(*args, **kwargs):
+        n["replay_ctx" if kwargs.get("record") is False else "launch_ctx"] += 1
+        return real_ctx(*args, **kwargs)
+
+    def counting_replay(*args, **kwargs):
+        n["replay_kernel"] += 1
+        return real_replay(*args, **kwargs)
+
+    monkeypatch.setattr(launch_mod, "KernelContext", counting_ctx)
+    monkeypatch.setattr(batch_mod, "replay_kernel", counting_replay)
+    return n
+
+
+def _warm_batch(counts, algorithm, backend, bounds_check):
+    imgs = [make_image(SHAPE, PAIR, seed=i) for i in range(DEPTH)]
+    eng = Engine()
+    with execution(ExecutionConfig(sanitize=False, bounds_check=bounds_check)):
+        eng.run_batch(imgs, pair=PAIR, algorithm=algorithm, backend=backend)
+        for k in counts:
+            counts[k] = 0
+        run = eng.run_batch(imgs, pair=PAIR, algorithm=algorithm,
+                            backend=backend)
+    assert run.plan_hits == DEPTH and run.plan_misses == 0
+    return run
+
+
+@pytest.mark.parametrize("backend", ["gpusim", "compiled"])
+@pytest.mark.parametrize("algorithm", sorted(BATCH_SPECS))
+def test_warm_batch_builds_no_kernel_context(counts, algorithm, backend):
+    run = _warm_batch(counts, algorithm, backend, bounds_check=False)
+    assert counts == {"launch_ctx": 0, "replay_ctx": 0, "replay_kernel": 0}
+    assert {r.backend for r in run.runs} == {backend}
+
+
+@pytest.mark.parametrize("algorithm", sorted(BATCH_SPECS))
+def test_bounds_checked_warm_batch_replays_per_image(counts, algorithm):
+    _warm_batch(counts, algorithm, "gpusim", bounds_check=True)
+    n_passes = len(get_kernel_spec(algorithm).passes)
+    assert counts == {
+        "launch_ctx": 0,
+        "replay_ctx": DEPTH * n_passes,
+        "replay_kernel": DEPTH * n_passes,
+    }

@@ -40,8 +40,6 @@ class TestKernelSpecs:
         assert len(spec.passes) == 2
         for p in spec.passes:
             assert p.grid_axis in ("x", "y")
-            assert p.stack_in in ("rows", "cols")
-            assert p.stack_out in ("rows", "cols")
             assert callable(p.geometry) and callable(p.host)
             assert p.mlp == 32
 

@@ -105,7 +105,7 @@ class TestStackIntegration:
     def _batched_mode(self):
         # Pin sanitize/bounds off: under the sanitized CI profile the
         # engine falls back to per-image execution, which would remove the
-        # replay/tape counters these tests assert on.
+        # replay counters these tests assert on.
         from repro.exec.config import ExecutionConfig, execution
 
         with execution(ExecutionConfig(sanitize=False, bounds_check=False)):
@@ -133,21 +133,6 @@ class TestStackIntegration:
         assert m.value("engine.plan_hits") == float(run.plan_hits)
         assert m.value("engine.plan_misses") == float(run.plan_misses)
         assert m.counter_total("gpusim.replays") > 0
-
-    def test_tape_lifecycle_counters(self):
-        reset_metrics()
-        imgs = [make_image((64, 64), "8u32s", seed=i) for i in range(8)]
-        eng = Engine()
-        # Tapes are keyed by replay grid.  Batch 1 replays n-1 images after
-        # the cold launch (grid ×7); batches 2 and 3 replay all n stacked
-        # (grid ×8), so batch 2 records that tape and batch 3 plays it.
-        for _ in range(3):
-            eng.run_batch(imgs, pair="8u32s", algorithm="brlt_scanrow",
-                          backend="gpusim")
-        m = get_metrics()
-        assert m.counter_total("gpusim.tape.recorded") > 0
-        assert m.counter_total("gpusim.tape.replayed") > 0
-        assert m.counter_total("gpusim.tape_mismatches") == 0
 
     def test_runner_calibration_counters(self):
         from repro.harness import Runner

@@ -1,4 +1,4 @@
-"""Differential testing of the tape-compiled ``compiled`` backend.
+"""Differential testing of the ``compiled`` backend.
 
 The compiled backend must be indistinguishable from the interpreter in
 data: cold calls *are* interpreted runs, and warm calls execute the
@@ -104,15 +104,18 @@ def test_float_scan_variants_bit_identical(algo, scan):
 @pytest.mark.parametrize("pair", ["8u32s", "64f64f"])
 @pytest.mark.parametrize("algo", ALGOS)
 def test_batch_compiled_bit_identical(algo, pair, monkeypatch):
-    """A compiled batch (stacked compiled replays) matches the interpreted
-    batch per image, bit for bit, with identical modeled times."""
+    """Batches on either backend (warm images run the lowered program)
+    match interpreted solo ``sat()`` calls per image, bit for bit, with
+    identical modeled times."""
     monkeypatch.setenv("REPRO_GPUSIM_SANITIZE", "0")
     imgs = [make_image((50 + i % 3, 40 + i % 2), pair, seed=i)
             for i in range(6)]
-    ref = Engine().run_batch(imgs, algorithm=algo, pair=pair)
-    got = Engine().run_batch(imgs, algorithm=algo, pair=pair,
-                             backend="compiled")
-    for r, c in zip(ref.runs, got.runs):
-        assert c.output.dtype == r.output.dtype
-        assert _bits(c) == _bits(r)
-        assert c.time_us == pytest.approx(r.time_us)
+    ref = [sat(im, algorithm=algo, pair=pair, backend="gpusim")
+           for im in imgs]
+    for backend in ("gpusim", "compiled"):
+        got = Engine().run_batch(imgs, algorithm=algo, pair=pair,
+                                 backend=backend)
+        for r, c in zip(ref, got.runs):
+            assert c.output.dtype == r.output.dtype
+            assert _bits(c) == _bits(r)
+            assert c.time_us == pytest.approx(r.time_us)

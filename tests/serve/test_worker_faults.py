@@ -2,9 +2,9 @@
 their own request.
 
 ``WorkerPool._run_group`` is the execution seam: tests wrap it to raise
-the engine's real error types (``TapeMismatchError`` from replay,
-``CompileError`` from lowering) for marked "poison" images.  The
-contract under test:
+``CompileError`` (the engine's lowering error) or a plain
+``RuntimeError`` (standing for any exception escaping the engine) for
+marked "poison" images.  The contract under test:
 
 * a failing batched launch is retried solo, so batch-mates of a poisoned
   request still succeed, bit-identical to direct ``sat()``;
@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.compile.lower import CompileError
-from repro.gpusim.replay import TapeMismatchError
 from repro.obs import get_metrics, reset_metrics
 from repro.sat.api import sat
 from repro.serve import RectSumRequest, SatRequest, SatService, ServeError
@@ -64,7 +63,7 @@ def _inject(service, exc_type, monkeypatch):
     monkeypatch.setattr(service.pool, "_run_group", failing)
 
 
-@pytest.mark.parametrize("exc_type", [TapeMismatchError, CompileError])
+@pytest.mark.parametrize("exc_type", [RuntimeError, CompileError])
 class TestExecutionFaults:
     def test_poison_fails_alone_batchmates_succeed(self, svc, monkeypatch,
                                                    exc_type):
