@@ -6,7 +6,8 @@ scales the full-image path cannot hold:
 
 * the 16384 x 16384 gigapixel image (256 tiles of 1024^2 across two
   simulated P100s), reporting tiles/s, carry-propagation overhead as a
-  percentage of busy time, and the compute/carry overlap fraction;
+  percentage of busy time, the compute/carry overlap fraction, and the
+  call's ``tracemalloc`` peak;
 * a streamed 1080p series (integral video via the temporal descriptor
   chain), reporting frames/s.
 
@@ -33,6 +34,7 @@ import json
 import pathlib
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -58,9 +60,13 @@ def _append_bench_entry(entry: dict) -> None:
 
 def _host_reference(img: np.ndarray) -> np.ndarray:
     """Exact wrapped int32 SAT without the sharded path (and without the
-    full-image simulator, which is the expensive part at 16k)."""
-    return np.cumsum(np.cumsum(img, axis=0, dtype=np.int64),
-                     axis=1).astype(np.int32)
+    full-image simulator, which is the expensive part at 16k).
+
+    Accumulates in int32 like the kernels: wraparound addition is
+    associative, so the bits equal a wide accumulation cast down, without
+    holding int64 copies of a gigapixel image."""
+    rows = np.cumsum(img, axis=0, dtype=np.int32)
+    return np.cumsum(rows, axis=1, dtype=np.int32)
 
 
 def _check_single_pass(rep: dict) -> None:
@@ -128,15 +134,23 @@ def run_full(big: int, big_tile: int, devices: str, frames: int) -> int:
     print(f"regress 2048^2: tiles/s={sm.report['tiles_per_s']:.0f} "
           f"overlap={sm.report['overlap_fraction']:.1%}")
 
-    # Gigapixel headline, warm compiled replays after the first cold tile.
+    # Gigapixel headline on the compiled backend: the first tile records
+    # its plan, the rest run the lowered program.  The tracemalloc peak is
+    # informational (regress reads only the top-level metrics).
     img = rng.integers(0, 255, size=(big, big)).astype(np.uint8)
-    run = _sharded(img, (big_tile, big_tile), devices, config="compiled")
+    tracemalloc.start()
+    try:
+        run = _sharded(img, (big_tile, big_tile), devices, config="compiled")
+        peak_alloc_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
     rep = run.report
     _check_single_pass(rep)
     identical = bool(np.array_equal(run.output, _host_reference(img)))
     print(f"{big}^2: grid={rep['grid']} tiles/s={rep['tiles_per_s']:.0f} "
           f"carry_overhead={rep['carry_overhead_frac']:.1%} "
-          f"overlap={rep['overlap_fraction']:.1%} identical={identical}")
+          f"overlap={rep['overlap_fraction']:.1%} identical={identical} "
+          f"peak_alloc={peak_alloc_mb:.0f} MB")
 
     series = _series_sweep(frames, (1080, 1920), devices)
     print(f"series {frames}x1080p: {series['frames_per_s']:.1f} frames/s "
@@ -164,6 +178,7 @@ def run_full(big: int, big_tile: int, devices: str, frames: int) -> int:
             "makespan_s": rep["makespan_s"],
             "retries": rep["retries"],
             "outputs_identical": identical,
+            "peak_alloc_mb": round(peak_alloc_mb, 1),
         },
         "series": series,
         "wall_s": round(time.perf_counter() - t0, 2),

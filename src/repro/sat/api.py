@@ -161,11 +161,10 @@ def sat(
         ``True`` / a dict / a :class:`~repro.shard.ShardConfig`: always
         shard, with any supplied knobs (tile shape, device set, streams,
         placement).  Sharded runs return a
-        :class:`~repro.shard.ShardRun` — a :class:`SatRun` plus the
-        device/stream cost report and a queryable
-        :class:`~repro.shard.TiledSat`.  Only the paper's spec'd
-        algorithms shard; baselines run whole or raise if ``shard`` is
-        requested explicitly.
+        :class:`~repro.shard.ShardRun` — a :class:`SatRun` whose output
+        is the full table, plus the device/stream cost report.  Only the
+        paper's spec'd algorithms shard; baselines run whole or raise if
+        ``shard`` is requested explicitly.
     autotune:
         Per-call override of the ``autotune`` execution field: ``True``
         routes an unspecified ``algorithm`` through the planner,

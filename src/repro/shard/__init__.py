@@ -7,9 +7,10 @@ descriptor array — one carry fix-up per tile, never a second full sweep.
 
 * :mod:`.descriptor` — the ``X``/``A``/``P`` tile-status protocol;
 * :mod:`.executor` — :func:`sharded_sat` / :func:`sharded_sat_series`,
-  the :class:`ShardConfig` knobs and the modeled device/stream timeline;
-* :mod:`.query` — :class:`TiledSat`, constant-time rectangle queries on
-  the sharded table with int64-widened corner arithmetic.
+  the :class:`ShardConfig` knobs and the modeled device/stream timeline.
+
+A sharded run returns the materialised table; rectangle queries on it go
+through :func:`repro.rect_sums` like any other SAT.
 
 ``sat()`` shards transparently above :data:`DEFAULT_THRESHOLD_ELEMS`
 (override with ``REPRO_SHARD_THRESHOLD`` or ``sat(shard=...)``) — the
@@ -29,7 +30,6 @@ from .executor import (
     sharded_sat,
     sharded_sat_series,
 )
-from .query import TiledSat
 
 __all__ = [
     "X",
@@ -41,7 +41,6 @@ __all__ = [
     "ShardConfig",
     "ShardRun",
     "ShardSeriesRun",
-    "TiledSat",
     "TiledSharder",
     "sharded_sat",
     "sharded_sat_series",

@@ -25,6 +25,15 @@ the row prefix: a genuine two-stage dependency the lookback protocol
 resolves tile-by-tile in kernel-completion order, deferring (status
 ``X``) when a predecessor has not landed yet.
 
+Memory
+------
+The output is allocated first.  Each tile's local SAT is copied into its
+output slice as soon as it returns and then dropped; copies of its right
+and bottom edges are all that is kept for the chains.  Once a tile's
+``left`` and ``top`` resolve, its carries apply as two in-place
+broadcast adds on the slice, ``(local + left) + top``, so a sharded call
+holds its output plus one tile.
+
 Cost model
 ----------
 Every tile contributes one H2D copy, one kernel op (its local SAT's
@@ -54,7 +63,6 @@ from ..obs.metrics import get_metrics
 from ..obs.trace import resolve_tracer
 from ..sat.common import SatRun
 from .descriptor import DescriptorChain, LookbackStats
-from .query import TiledSat
 
 __all__ = [
     "DEFAULT_THRESHOLD_ELEMS",
@@ -184,12 +192,14 @@ class ShardConfig:
 
 @dataclass
 class ShardRun(SatRun):
-    """A sharded run: a :class:`SatRun` plus the shard report and the
-    queryable tiled view.  ``time_s`` is the modeled *makespan* of the
-    device set (overlap included), not the sum of kernel times."""
+    """A sharded run: a :class:`SatRun` plus the shard report.
+
+    ``output`` is the materialised global table and ``backend`` the label
+    the tile runs report, as an unsharded call would.  ``time_s`` is the
+    modeled *makespan* of the device set (overlap included), not the sum
+    of kernel times."""
 
     report: Dict[str, object] = field(default_factory=dict)
-    tiled: Optional[TiledSat] = None
 
     @property
     def time_s(self) -> Optional[float]:
@@ -286,9 +296,15 @@ def sharded_sat(
     tracer = resolve_tracer(None)
 
     # -- phase 1: local SATs, one kernel + one H2D copy per tile ---------
-    tiles: Dict[Tuple[int, int], np.ndarray] = {}
+    # Edges are kept as copies, never views of ``out``: the slice gains
+    # its carries in place, and a chain hands a published aggregate on by
+    # reference as a successor's prefix.
+    out = np.empty(image.shape, dtype=tp.output.np_dtype)
+    right: Dict[Tuple[int, int], np.ndarray] = {}
+    bottom: Dict[Tuple[int, int], np.ndarray] = {}
     kops: Dict[Tuple[int, int], object] = {}
     launches = []
+    backend_name = None
     in_size = tp.input.size
     acc_size = tp.output.size
     for p in plan.placements:
@@ -314,31 +330,35 @@ def sharded_sat(
         with cm:
             run = fn(sub, pair=tp, device=dev.spec.name, backend=backend,
                      config=config, **opts)
-        tiles[(p.r, p.c)] = run.output
+        key = (p.r, p.c)
+        out[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w] = run.output
+        right[key] = run.output[:, -1].copy()
+        bottom[key] = run.output[-1, :].copy()
+        backend_name = run.backend
         launches.extend(run.launches)
-        kops[(p.r, p.c)] = dev.enqueue(
+        kops[key] = dev.enqueue(
             p.stream, "kernel",
             _kernel_cost_s(run, (p.h, p.w), tp, dev, n_passes),
             f"sat[{p.r},{p.c}]", deps=[cop],
-            tile=(p.r, p.c), passes=n_passes,
+            tile=key, passes=n_passes,
         )
+        del run, sub  # hold no tile while the next one runs
 
     # -- phase 2: decoupled-lookback carry resolution --------------------
     rows = [DescriptorChain(nc, name=f"row{r}") for r in range(nr)]
     cols = [DescriptorChain(nr, name=f"col{c}") for c in range(nc)]
     left: Dict[Tuple[int, int], np.ndarray] = {}
-    top: Dict[Tuple[int, int], np.ndarray] = {}
-    out = np.empty(image.shape, dtype=tp.output.np_dtype)
     carry_ops = 0
     copy_d2d = 0
 
-    def finalize(p) -> None:
+    def finalize(p, top: np.ndarray) -> None:
         nonlocal carry_ops, copy_d2d
         key = (p.r, p.c)
-        fixed = _wrap_add(
-            _wrap_add(tiles[key], left[key][:, None]), top[key][None, :]
-        )
-        out[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w] = fixed
+        # left before top: float outputs are pinned to this association.
+        dst = out[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(dst, left[key][:, None], out=dst)
+            np.add(dst, top[None, :], out=dst)
         dev = dset.device(p.device)
         cstream = (p.stream + 1) % len(dev.streams)
         deps = [kops[key]]
@@ -374,13 +394,12 @@ def sharded_sat(
             left[key] = excl
             # Adjusted bottom edge: band sum over *all* columns <= x.
             cols[p.c].publish_aggregate(
-                p.r, _wrap_add(tiles[key][-1, :], excl[-1])
+                p.r, _wrap_add(bottom.pop(key), excl[-1])
             )
         exclt = cols[p.c].lookback(p.r)
         if exclt is None:
             return False
-        top[key] = exclt
-        finalize(p)
+        finalize(p, exclt)
         return True
 
     # Tiles publish and resolve in modeled kernel-completion order — the
@@ -392,7 +411,7 @@ def sharded_sat(
     )
     pending: List[object] = []
     for p in completion:
-        rows[p.r].publish_aggregate(p.c, tiles[(p.r, p.c)][:, -1])
+        rows[p.r].publish_aggregate(p.c, right.pop((p.r, p.c)))
         pending.append(p)
         progress = True
         while progress and pending:
@@ -460,16 +479,14 @@ def sharded_sat(
                 n_ops=len(d.ops),
             )
 
-    tiled = TiledSat(image.shape, plan.tile_shape, tiles, left, top)
     return ShardRun(
         output=out,
         launches=launches,
         algorithm=algorithm,
         device=",".join(dset.names),
         pair=tp.name,
-        backend="gpusim" if launches else "host",
+        backend=backend_name,
         report=rep,
-        tiled=tiled,
     )
 
 

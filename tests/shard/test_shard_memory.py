@@ -1,0 +1,68 @@
+"""Memory guard: a warm sharded call holds its output plus about one tile.
+
+Each tile's local SAT is copied into its slice of the output as soon as
+it returns and dropped; carries then apply in place.  So while the call
+runs it holds the output plus one tile's working set, and afterwards
+only the output (plus the small edge and carry vectors).  Keeping the
+un-carried tiles, or building full-tile temporaries for each carry,
+shows up here as a second copy of the output.
+
+Bytes are counted with ``tracemalloc`` (NumPy reports its buffers to
+it), so the guard does not depend on host speed.  The sanitizer and
+bounds checks are pinned off: they keep per-launch shadow buffers that
+have nothing to do with the executor.  ``gpusim`` is left out for the
+same reason, as its interpreter buffers dominate a small tile's peak.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro.exec.config import ExecutionConfig
+from repro.shard import sharded_sat
+
+from ..helpers import make_image
+
+#: ``(image shape, pair, tile shape)``: a 4x4 grid of square tiles, and
+#: a 3x4 grid of non-square tiles with a float accumulator.
+CASES = (
+    ((512, 512), "8u32s", (128, 128)),
+    ((384, 320), "32f32f", (128, 96)),
+)
+#: Bytes still allocated after the call, as a multiple of the output's.
+MAX_RETAINED = 1.25
+#: Peak bytes allocated during the call, as a multiple of the output's.
+MAX_PEAK = 2.0
+
+
+@pytest.mark.parametrize("backend", ["host", "compiled"])
+@pytest.mark.parametrize("shape,pair,tile", CASES)
+def test_warm_sharded_call_holds_output_plus_one_tile(shape, pair, tile,
+                                                      backend):
+    img = make_image(shape, pair, seed=0)
+    config = ExecutionConfig(sanitize=False, bounds_check=False)
+
+    def call():
+        return sharded_sat(img, pair=pair, backend=backend, config=config,
+                           shard={"tile_shape": tile, "devices": "2xP100"})
+
+    call()  # warm: plan caches, compiled programs, metric series
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run = call()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out_bytes = run.output.nbytes
+    retained = (current - base) / out_bytes
+    peak = (peak - base) / out_bytes
+    assert retained <= MAX_RETAINED, (
+        f"a warm sharded call retains {retained:.2f}x its output's bytes")
+    assert peak <= MAX_PEAK, (
+        f"a warm sharded call peaks at {peak:.2f}x its output's bytes")

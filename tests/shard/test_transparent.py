@@ -54,6 +54,17 @@ class TestTransparentRouting:
         img = np.ones((150, 200), dtype=np.uint8)
         assert not isinstance(sat(img, pair="8u32s", shard=False), ShardRun)
 
+    @pytest.mark.parametrize("backend", ["gpusim", "compiled", "host"])
+    def test_sharded_run_reports_the_tiles_backend(self, small_threshold,
+                                                   backend):
+        img = np.ones((100, 100), dtype=np.uint8)
+        sharded = sat(img, pair="8u32s", backend=backend)
+        whole = sat(img, pair="8u32s", backend=backend, shard=False)
+        assert isinstance(sharded, ShardRun)
+        # Not pinned to ``backend``: sanitized compiled calls run, and
+        # report, the interpreted gpusim path either way.
+        assert sharded.backend == whole.backend
+
     def test_default_threshold_spares_benchmark_sizes(self):
         w = get_sharder()
         assert not w.wants((2048, 2048))          # 2^22 == threshold
