@@ -13,6 +13,7 @@ Run directly::
     python benchmarks/bench_batch.py --smoke    # CI smoke: fast, asserts
                                                 # plan-cache hit rate >= 0.9
 
+Both modes take ``--pair`` (images in its input dtype) and ``--backend``.
 The full run appends a row to ``BENCH_batch.json`` at the repo root so the
 engine's performance history survives across commits.
 """
@@ -56,17 +57,29 @@ def _check_identical(batch_runs, solo_runs) -> None:
                 ss.timing), f"batch timing drifted in {sb.name}"
 
 
-def run_smoke(algorithm: str, device: str, backend: str = "gpusim") -> int:
+def _images(n: int, size: int, pair: str) -> list:
+    """``n`` seeded ``size``-square images in ``pair``'s input dtype:
+    bytes for integer inputs, [0, 1) floats for float inputs."""
+    from repro.dtypes import parse_pair
+
+    dtype = parse_pair(pair).input.np_dtype
+    rng = np.random.default_rng(0)
+    if np.issubdtype(dtype, np.integer):
+        return [rng.integers(0, 256, (size, size)).astype(dtype)
+                for _ in range(n)]
+    return [rng.random((size, size)).astype(dtype) for _ in range(n)]
+
+
+def run_smoke(algorithm: str, device: str, backend: str = "gpusim",
+              pair: str = "8u32s") -> int:
     from repro import sat
     from repro.engine import Engine
 
-    rng = np.random.default_rng(0)
-    imgs = [rng.integers(0, 256, (128, 128)).astype(np.uint8)
-            for _ in range(32)]
+    imgs = _images(32, 128, pair)
     eng = Engine()
-    run = eng.run_batch(imgs, pair="8u32s", algorithm=algorithm, device=device,
+    run = eng.run_batch(imgs, pair=pair, algorithm=algorithm, device=device,
                         backend=backend)
-    solo = [sat(im, pair="8u32s", algorithm=algorithm, device=device)
+    solo = [sat(im, pair=pair, algorithm=algorithm, device=device)
             for im in imgs[:4]]
     _check_identical(run.runs[:4], solo)
     print(f"smoke: {run.summary()}")
@@ -85,9 +98,7 @@ def run_full(n_images: int, size: int, algorithm: str, pair: str,
     from repro import sat
     from repro.engine import Engine
 
-    rng = np.random.default_rng(0)
-    imgs = [rng.integers(0, 256, (size, size)).astype(np.uint8)
-            for _ in range(n_images)]
+    imgs = _images(n_images, size, pair)
 
     t0 = time.perf_counter()
     solo = [sat(im, pair=pair, algorithm=algorithm, device=device)
@@ -171,7 +182,8 @@ def main(argv=None) -> int:
                     help="execution backend for the batched engine runs")
     args = ap.parse_args(argv)
     if args.smoke:
-        return run_smoke(args.algorithm, args.device, args.backend)
+        return run_smoke(args.algorithm, args.device, args.backend,
+                         args.pair)
     return run_full(args.n_images, args.size, args.algorithm, args.pair,
                     args.device, args.backend)
 

@@ -33,8 +33,10 @@ Two optimisation rules beyond straight-line lowering, both bit-exact:
   whole-row / whole-column accumulates (no chunking, no strip offsets)
   and implement both physical axes, so integer plans run transpose-free.
   Float addition is not associative, so float passes keep the kernels'
-  exact association (:mod:`repro.compile.ops`) and usually implement only
-  their natural axis.
+  exact association (:mod:`repro.compile.ops`).  The float serial-scan
+  passes still implement both axes — their column body performs the
+  transposed row program's additions in place — while float ScanRow-BRLT,
+  whose warp scans work on the lane axis, implements only rows.
 
 Anything the compiler cannot prove it can lower — a pass without a
 ``lower`` hook, an unknown scan variant, un-recorded plans — raises

@@ -244,9 +244,16 @@ class Engine:
         t0 = time.perf_counter()
         imgs = self._normalize(images)
         tp = _resolve_pair(imgs[0], pair)
-        res = resolve_execution(config, fused=fused, sanitize=sanitize,
-                                bounds_check=bounds_check, backend=backend,
-                                device=device, autotune=autotune)
+        overrides = dict(fused=fused, sanitize=sanitize,
+                         bounds_check=bounds_check, backend=backend,
+                         device=device, autotune=autotune)
+        if (isinstance(config, ExecutionConfig) and config.is_fully_resolved
+                and all(v is None for v in overrides.values())):
+            # Already resolved upstream (the serve batcher keys requests
+            # on resolved configs): resolving again would return it as is.
+            res = config
+        else:
+            res = resolve_execution(config, **overrides)
         if algorithm is None or algorithm == "auto":
             # Imported lazily: repro.plan leans on repro.engine.lru, so a
             # module-level import here would be circular.
@@ -575,9 +582,11 @@ class Engine:
                                 tp.input.np_dtype),
                     res,
                 )
-        t_stacked = sum(
-            _stacked_time_s(lp.stats, depth) for lp in plan.launch_plans
-        )
+        t_stacked = plan.stacked_time_s.get(depth)
+        if t_stacked is None:
+            t_stacked = plan.stacked_time_s[depth] = sum(
+                _stacked_time_s(lp.stats, depth) for lp in plan.launch_plans
+            )
         if sp is not None:
             sp.attrs["modeled_us"] = t_stacked * 1e6
         for j, i in enumerate(chunk):

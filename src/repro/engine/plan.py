@@ -88,6 +88,10 @@ class SatPlan:
     #: lower.CompileError` pins this to ``MAX_COMPILE_ATTEMPTS`` so the
     #: bucket stays on per-image replay instead of recompiling forever.
     compile_attempts: int = 0
+    #: Modeled time of one stacked launch per pass, summed over the
+    #: passes, keyed by batch depth.  It depends only on the recorded
+    #: stats and the depth, so warm chunks compute each depth once.
+    stacked_time_s: Dict[int, float] = field(default_factory=dict)
     #: Serialises every use of this plan across worker threads: the cold
     #: recording run, lowering, and warm chunks all mutate plan state
     #: (launch plans, staging buffers, the compiled program), so exactly

@@ -145,18 +145,20 @@ def _host_pass(a):
 
 def _lower_pass(stats, tp, opts):
     # Closed-form pass: serial chunk scans with Fig.-3c strip offsets
-    # sized by the *recorded* warps-per-block.  Integer accumulators are
-    # association-free, so they lower to whole-axis accumulates on both
-    # physical axes and the executor elides every transpose.
+    # sized by the *recorded* warps-per-block, with a body for each
+    # physical axis, so the executor elides both transposes.  Integer
+    # accumulators are association-free and lower to whole-axis scans.
     from ..compile.lower import LoweredPass
-    from ..compile.ops import (chunked_row_scan, int_col_scan, int_row_scan,
-                               is_integer_acc, serial_chunk_scan)
+    from ..compile.ops import (chunked_col_scan, chunked_row_scan,
+                               int_col_scan, int_row_scan, is_integer_acc,
+                               serial_chunk_scan)
 
     if is_integer_acc(tp.output.np_dtype):
         return LoweredPass(rows=int_row_scan, cols=int_col_scan)
     wpb = int(np.prod(stats.block)) // 32
     return LoweredPass(
-        rows=lambda stack: chunked_row_scan(stack, wpb, serial_chunk_scan))
+        rows=lambda stack: chunked_row_scan(stack, wpb, serial_chunk_scan),
+        cols=lambda stack: chunked_col_scan(stack, wpb))
 
 
 _PASS = dict(

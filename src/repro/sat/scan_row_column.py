@@ -193,19 +193,18 @@ def _lower_scanrow(stats, tp, opts):
 def _lower_scancolumn(stats, tp, opts):
     # Serial scans down 32-row chunks with Fig.-3c band offsets sized by
     # the recorded warps-per-block — the row program on the column axis
-    # (col_major: the executor transposes to reach the float row body;
-    # integer plans scan axis 1 directly and stay transpose-free).
+    # (col_major).  ScanRow stores untransposed, so this pass always
+    # scans axis 1 directly, transpose-free for every dtype pair.
     from ..compile.lower import LoweredPass
-    from ..compile.ops import (chunked_row_scan, int_col_scan, int_row_scan,
-                               is_integer_acc, serial_chunk_scan)
+    from ..compile.ops import (chunked_col_scan, int_col_scan, int_row_scan,
+                               is_integer_acc)
 
     if is_integer_acc(tp.output.np_dtype):
         return LoweredPass(rows=int_row_scan, cols=int_col_scan,
                            col_major=True)
     wpb = int(np.prod(stats.block)) // 32
-    return LoweredPass(
-        rows=lambda stack: chunked_row_scan(stack, wpb, serial_chunk_scan),
-        col_major=True)
+    return LoweredPass(cols=lambda stack: chunked_col_scan(stack, wpb),
+                       col_major=True)
 
 
 SPEC = register_kernel_spec(

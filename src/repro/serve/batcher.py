@@ -80,8 +80,13 @@ class CompatKey:
 
     @property
     def config(self) -> ExecutionConfig:
-        """The resolved execution config this key was built from."""
-        return ExecutionConfig(**dict(self.exec_key))
+        """The resolved execution config this key was built from.
+
+        ``autotune`` is off: the planner's decision is already folded
+        into ``algorithm`` and ``opts``, so the config is fully resolved
+        and the engine runs it without resolving again.
+        """
+        return ExecutionConfig(autotune=False, **dict(self.exec_key))
 
 
 @dataclass

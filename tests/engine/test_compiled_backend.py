@@ -54,12 +54,19 @@ class TestLifecycle:
         for a, b in zip(warm.launches, cold.launches):
             assert a.counters.as_dict() == b.counters.as_dict()
 
-    def test_integer_plans_run_transpose_free(self):
-        img = make_image((64, 64), "8u32s", seed=2)
-        sat(img, pair="8u32s", backend="compiled")
-        sat(img, pair="8u32s", backend="compiled")
+    @pytest.mark.parametrize("pair", ["8u32s", "8u32f", "8u64f", "32f32f",
+                                      "32f64f", "64f64f"])
+    @pytest.mark.parametrize("algorithm", ["brlt_scanrow", "scan_row_column"])
+    def test_plans_run_transpose_free(self, algorithm, pair):
+        """Serial passes have a body for each physical axis, so layout
+        propagation never materialises a transpose, whatever the pair."""
+        img = make_image((64, 96), pair, seed=2)
+        cold = sat(img, pair=pair, algorithm=algorithm, backend="compiled")
+        warm = sat(img, pair=pair, algorithm=algorithm, backend="compiled")
         (plan,) = _compiled_plans(default_engine().cache)
+        assert plan.compiled.executions == 1
         assert plan.compiled.transposes == 0
+        assert warm.output.tobytes() == cold.output.tobytes()
 
     def test_execute_failure_falls_back_and_recompiles(self):
         img = make_image((40, 40), "8u32s", seed=3)

@@ -4,7 +4,10 @@ A warm bucket with a lowered program must not touch the interpreter at
 all, whichever backend was requested; a bounds-checked warm bucket has
 no program and replays each image pass by pass at the recorded grid.
 Both are counted exactly — ``KernelContext`` constructions and
-``replay_kernel`` calls — so the guard cannot flake on wall time.
+``replay_kernel`` calls — so the guard cannot flake on wall time.  The
+same holds for host overhead a warm chunk need not repeat: cost-model
+evaluations at a depth the plan has already run, and re-resolving an
+already resolved execution config.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from repro.exec.config import ExecutionConfig, execution
 from repro.exec.registry import get_kernel_spec
 from repro.gpusim import launch as launch_mod
 
-from ..helpers import make_image
+from ..helpers import count_resolves, make_image
 
 DEPTH = 8
 SHAPE = (128, 128)
@@ -75,3 +78,57 @@ def test_bounds_checked_warm_batch_replays_per_image(counts, algorithm):
         "replay_ctx": DEPTH * n_passes,
         "replay_kernel": DEPTH * n_passes,
     }
+
+
+def test_warm_chunk_reuses_its_depths_modeled_time(monkeypatch):
+    """The stacked modeled time depends only on the recorded stats and the
+    depth: a warm chunk at a depth its plan has already run evaluates the
+    cost model zero times, and a new depth once per pass."""
+    calls = []
+    real_kernel_time = batch_mod.kernel_time
+
+    def counting_kernel_time(*args, **kwargs):
+        calls.append(kwargs.get("name"))
+        return real_kernel_time(*args, **kwargs)
+
+    img = make_image(SHAPE, PAIR, seed=0)
+    eng = Engine()
+    n_passes = len(get_kernel_spec("brlt_scanrow").passes)
+    with execution(ExecutionConfig(sanitize=False, bounds_check=False)):
+        eng.run_group([img], pair=PAIR)  # cold: records the plan
+        first = eng.run_group([img], pair=PAIR)
+        monkeypatch.setattr(batch_mod, "kernel_time", counting_kernel_time)
+        again = eng.run_group([img], pair=PAIR)
+        assert calls == []
+        assert again.modeled_batched_s == first.modeled_batched_s
+        eng.run_group([img, img], pair=PAIR)
+        assert len(calls) == n_passes
+        eng.run_group([img, img], pair=PAIR)
+        assert len(calls) == n_passes
+
+
+RESOLVED = ExecutionConfig(fused=True, sanitize=False, bounds_check=False,
+                           backend="gpusim", device="P100", autotune=False)
+
+
+def test_warm_group_with_resolved_config_resolves_nothing(monkeypatch):
+    img = make_image(SHAPE, PAIR, seed=0)
+    eng = Engine()
+    eng.run_group([img], pair=PAIR, config=RESOLVED)  # cold
+    calls = count_resolves(monkeypatch)
+    run = eng.run_group([img], pair=PAIR, config=RESOLVED)
+    assert sum(calls.values()) == 0
+    assert run.plan_hits == 1 and run.runs[0].backend == "gpusim"
+
+
+def test_override_over_resolved_config_still_resolves(monkeypatch):
+    img = make_image(SHAPE, PAIR, seed=0)
+    eng = Engine()
+    eng.run_group([img], pair=PAIR, config=RESOLVED)
+    calls = count_resolves(monkeypatch)
+    eng.run_group([img], pair=PAIR, config=RESOLVED, bounds_check=True)
+    assert calls["repro.engine.batch"] == 1
+    # The override reached the plan key: a bounds-checked bucket of its own.
+    assert {k.opts for k in eng.cache.keys()} == {
+        tuple(sorted({"fused": True, "bounds_check": b}.items()))
+        for b in (False, True)}

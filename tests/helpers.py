@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import collections
+import sys
+
 import numpy as np
 
 from repro.dtypes import parse_pair
@@ -28,3 +31,25 @@ def assert_sat_equal(got, want, pair):
     else:
         rtol = 1e-4 if tp.output.name == "32f" else 1e-10
         np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-2)
+
+
+def count_resolves(monkeypatch) -> collections.Counter:
+    """Count ``resolve_execution`` calls by the package module that made
+    them: every ``repro`` module binding the function gets a counting
+    wrapper, so a call through any import spelling is seen."""
+    from repro.exec import config as config_mod
+
+    real = config_mod.resolve_execution
+    calls = collections.Counter()
+
+    def wrapper_for(module_name):
+        def counting(*args, **kwargs):
+            calls[module_name] += 1
+            return real(*args, **kwargs)
+        return counting
+
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "repro"
+                and getattr(mod, "resolve_execution", None) is real):
+            monkeypatch.setattr(mod, "resolve_execution", wrapper_for(name))
+    return calls

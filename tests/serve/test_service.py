@@ -28,6 +28,8 @@ from repro.serve import (
     ServeError,
 )
 
+from ..helpers import count_resolves
+
 RNG = np.random.default_rng(42)
 
 #: Mixed workload: three u8 shapes (two sharing a bucket) and one f32.
@@ -207,6 +209,19 @@ class TestResponses:
         assert np.array_equal(
             svc.box_filter(img, 1, timeout=60),
             direct_box_filter(table, 1, normalize=True))
+
+
+    def test_warm_request_resolves_its_config_once(self, monkeypatch):
+        """The service resolves each request on the submitting thread;
+        the worker's engine call runs that config as it is."""
+        img = _mixed_images()[0]
+        cfg = {"sanitize": False, "bounds_check": False}
+        with SatService(workers=1, config=cfg) as service:
+            cold = service.sat(img, algorithm="brlt_scanrow", timeout=60)
+            calls = count_resolves(monkeypatch)
+            warm = service.sat(img, algorithm="brlt_scanrow", timeout=60)
+        assert dict(calls) == {"repro.serve.service": 1}
+        assert np.array_equal(warm, cold)
 
 
 class TestEndpoints:
