@@ -16,10 +16,10 @@ Commands
                 rates (latency / availability / coalescing objectives)
 
 The ``sat``, ``batch`` and ``compare``/``bench`` commands share the
-execution-mode flags ``--backend``, ``--no-fused``, ``--sanitize`` and
-``--bounds-check``, which scope one :class:`~repro.exec.ExecutionConfig`
-over the whole command (explicit flags beat the ``REPRO_*`` environment
-variables, as everywhere else).
+execution-mode flags ``--backend``, ``--sanitize`` and ``--bounds-check``,
+which scope one :class:`~repro.exec.ExecutionConfig` over the whole
+command (explicit flags beat the ``REPRO_*`` environment variables, as
+everywhere else).
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ def _add_exec_flags(sp: argparse.ArgumentParser) -> None:
     g = sp.add_argument_group("execution modes")
     g.add_argument("--backend", default=None, choices=backend_names(),
                    help="execution backend (default: gpusim simulator)")
-    g.add_argument("--no-fused", dest="fused", action="store_const",
-                   const=False, default=None,
-                   help="use the legacy per-register kernel path "
-                        "(bit-identical, slower host-side)")
     g.add_argument("--sanitize", action="store_const", const=True,
                    default=None,
                    help="run every launch under the kernel sanitizer")
@@ -73,7 +69,6 @@ def _add_exec_flags(sp: argparse.ArgumentParser) -> None:
 def _exec_config(args) -> ExecutionConfig:
     """The ExecutionConfig scoped over one CLI command's execution."""
     return ExecutionConfig(
-        fused=getattr(args, "fused", None),
         sanitize=getattr(args, "sanitize", None),
         bounds_check=getattr(args, "bounds_check", None),
         backend=getattr(args, "backend", None),

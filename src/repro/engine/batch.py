@@ -230,7 +230,6 @@ class Engine:
         algorithm: Optional[str] = None,
         device: Optional[str] = None,
         exclusive: bool = False,
-        fused: Optional[bool] = None,
         sanitize: Optional[bool] = None,
         bounds_check: Optional[bool] = None,
         backend: Optional[str] = None,
@@ -244,9 +243,8 @@ class Engine:
         t0 = time.perf_counter()
         imgs = self._normalize(images)
         tp = _resolve_pair(imgs[0], pair)
-        overrides = dict(fused=fused, sanitize=sanitize,
-                         bounds_check=bounds_check, backend=backend,
-                         device=device, autotune=autotune)
+        overrides = dict(sanitize=sanitize, bounds_check=bounds_check,
+                         backend=backend, device=device, autotune=autotune)
         if (isinstance(config, ExecutionConfig) and config.is_fully_resolved
                 and all(v is None for v in overrides.values())):
             # Already resolved upstream (the serve batcher keys requests
@@ -290,7 +288,7 @@ class Engine:
         if has_kernel_spec(algorithm):
             # Spec'd algorithms take the fully-resolved mode set, so every
             # cold launch (and the plan key) sees concrete values.
-            call_opts = dict(opts, fused=res.fused, sanitize=res.sanitize,
+            call_opts = dict(opts, sanitize=res.sanitize,
                              bounds_check=res.bounds_check, backend=res.backend)
         else:
             # Spec-less baselines run their own (CPU) path: an explicitly
@@ -447,16 +445,16 @@ class Engine:
 
     def _run_batched(self, fn, imgs, tp, dev, algorithm, spec_fn, opts,
                      call_opts, res: ExecutionConfig) -> BatchRun:
-        spec: BatchSpec = spec_fn(tp, dev, fused=res.fused, **opts)
+        spec: BatchSpec = spec_fn(tp, dev, **opts)
         groups = self.scheduler.groups([im.shape for im in imgs], spec.pad)
         runs: List[Optional[SatRun]] = [None] * len(imgs)
         hits = misses = 0
         modeled_batched = 0.0
 
         # Key plans on the *resolved* modes, so equivalent spellings (env
-        # var vs. config object vs. kwarg) share plans, while fused/legacy,
-        # bounds-checked and compiled variants stay distinct.
-        key_opts = dict(opts, fused=res.fused, bounds_check=res.bounds_check)
+        # var vs. config object vs. kwarg) share plans, while bounds-checked
+        # and compiled variants stay distinct.
+        key_opts = dict(opts, bounds_check=res.bounds_check)
         # The cold run must be the fully-accounted simulator run that
         # records the plan this engine lowers; routing it through the
         # compiled backend would record into the default engine's cache
@@ -520,8 +518,7 @@ class Engine:
             # bucket on the per-image replay path.
             from ..exec.backends import ensure_compiled
 
-            ensure_compiled(plan, get_kernel_spec(algorithm), tp,
-                            dict(opts, fused=res.fused))
+            ensure_compiled(plan, get_kernel_spec(algorithm), tp, opts)
         if not pending:
             return hits, misses, modeled_batched
         if tracer is not None:
@@ -709,8 +706,8 @@ def sat_batch(
         ``(batch, H, W)``.  All images must share a dtype.
     pair, algorithm, device, exclusive, **opts:
         Exactly as :func:`repro.sat.api.sat`; ``opts`` may include the
-        execution knobs (``fused=``, ``sanitize=``, ``bounds_check=``,
-        ``backend=``, ``config=``, ``autotune=``).  ``algorithm="auto"``
+        execution knobs (``sanitize=``, ``bounds_check=``, ``backend=``,
+        ``config=``, ``autotune=``).  ``algorithm="auto"``
         (or leaving it unset with autotuning enabled) asks the
         :class:`~repro.plan.Planner` for the batch-aware choice — at
         batch depth >= 4 that includes relabelling a floating ``gpusim``

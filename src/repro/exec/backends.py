@@ -99,7 +99,6 @@ class GpusimBackend:
         tp: TypePair,
         device,
         opts: Optional[Mapping] = None,
-        fused: Optional[bool] = None,
         sanitize: Optional[bool] = None,
         bounds_check: Optional[bool] = None,
     ) -> SatRun:
@@ -107,8 +106,6 @@ class GpusimBackend:
         orig = image.shape
         padded = pad_matrix(image.astype(tp.input.np_dtype, copy=False), *spec.pad)
         pass_opts = dict(opts or {})
-        if fused is not None:
-            pass_opts["fused"] = fused
         tracer = current_tracer()
         with (tracer.span(f"sat:{spec.algorithm}", category="sat",
                           algorithm=spec.algorithm, backend=self.name,
@@ -157,7 +154,6 @@ class HostBackend:
         tp: TypePair,
         device="host",
         opts: Optional[Mapping] = None,
-        fused: Optional[bool] = None,
         sanitize: Optional[bool] = None,
         bounds_check: Optional[bool] = None,
     ) -> SatRun:
@@ -255,22 +251,18 @@ class CompiledBackend:
         tp: TypePair,
         device,
         opts: Optional[Mapping] = None,
-        fused: Optional[bool] = None,
         sanitize: Optional[bool] = None,
         bounds_check: Optional[bool] = None,
     ) -> SatRun:
-        if fused is None or sanitize is None or bounds_check is None:
-            res = resolve_execution(fused=fused, sanitize=sanitize,
+        if sanitize is None or bounds_check is None:
+            res = resolve_execution(sanitize=sanitize,
                                     bounds_check=bounds_check)
-            fused, sanitize, bounds_check = (
-                res.fused, res.sanitize, res.bounds_check
-            )
+            sanitize, bounds_check = res.sanitize, res.bounds_check
         gpusim = _GPUSIM
         if sanitize or bounds_check:
             # Trusted slow modes stay fully interpreted and instrumented.
             return gpusim.run(spec, image, tp=tp, device=device, opts=opts,
-                              fused=fused, sanitize=sanitize,
-                              bounds_check=bounds_check)
+                              sanitize=sanitize, bounds_check=bounds_check)
         from ..engine.batch import default_engine
         from ..engine.plan import PlanKey
 
@@ -282,11 +274,11 @@ class CompiledBackend:
         cache = default_engine().cache
         key = PlanKey.make(
             spec.algorithm, dev.name, tp.name, bucket,
-            dict(pass_opts, fused=fused, bounds_check=bounds_check),
+            dict(pass_opts, bounds_check=bounds_check),
             backend=self.name,
         )
         plan = cache.get_or_create(
-            key, spec.batch_spec(tp, dev, fused=fused, **pass_opts)
+            key, spec.batch_spec(tp, dev, **pass_opts)
         )
         m = get_metrics()
         tracer = current_tracer()
@@ -294,10 +286,10 @@ class CompiledBackend:
         if not plan.recorded:
             cache.note_miss()
             run0 = gpusim.run(spec, image, tp=tp, device=dev, opts=pass_opts,
-                              fused=fused, sanitize=False, bounds_check=False)
+                              sanitize=False, bounds_check=False)
             for lp, s in zip(plan.launch_plans, run0.launches):
                 lp.record(replace(s, counters=s.counters.copy()))
-            ensure_compiled(plan, spec, tp, dict(pass_opts, fused=fused))
+            ensure_compiled(plan, spec, tp, pass_opts)
             # The cold run *is* the recorded template; report it under
             # this backend so callers see one consistent executor.
             run0.backend = self.name
@@ -306,9 +298,9 @@ class CompiledBackend:
             return run0
 
         cache.note_hit()
-        if not ensure_compiled(plan, spec, tp, dict(pass_opts, fused=fused)):
+        if not ensure_compiled(plan, spec, tp, pass_opts):
             return gpusim.run(spec, image, tp=tp, device=dev, opts=pass_opts,
-                              fused=fused, sanitize=False, bounds_check=False)
+                              sanitize=False, bounds_check=False)
         padded = pad_matrix(image.astype(tp.input.np_dtype, copy=False),
                             *spec.pad)
         try:
@@ -329,7 +321,7 @@ class CompiledBackend:
                              level="warning", algorithm=spec.algorithm,
                              reason=str(e))
             return gpusim.run(spec, image, tp=tp, device=dev, opts=pass_opts,
-                              fused=fused, sanitize=False, bounds_check=False)
+                              sanitize=False, bounds_check=False)
         run = SatRun(
             output=np.ascontiguousarray(crop(out3[0], orig)),
             launches=[lp.clone_stats() for lp in plan.launch_plans],

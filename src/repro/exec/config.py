@@ -1,18 +1,18 @@
 """Execution-mode configuration: one resolution path for every knob.
 
-Every execution dimension of the package — fused vs. legacy register
-path, kernel sanitizer, global-memory bounds checking, backend selection
-and the default simulated device — resolves through this module.  The
+Every execution dimension of the package — kernel sanitizer,
+global-memory bounds checking, backend selection, the default simulated
+device and planner routing — resolves through this module.  The
 precedence order, highest first:
 
-1. **explicit keyword** at a call site (``sat(img, fused=False)``);
+1. **explicit keyword** at a call site (``sat(img, sanitize=True)``);
 2. **per-call config** object (``sat(img, config=ExecutionConfig(...))``);
 3. **context manager / installed default** (``with execution(sanitize=True):``,
    innermost context first, then :func:`set_default_config`);
 4. **environment**: the per-field ``REPRO_GPUSIM_*`` / ``REPRO_EXEC_*``
    variables, then the named profile selected by ``REPRO_EXEC_PROFILE``;
-5. built-in defaults (fused on, sanitizer off, bounds checking off,
-   ``gpusim`` backend, ``P100`` device).
+5. built-in defaults (sanitizer off, bounds checking off, ``gpusim``
+   backend, ``P100`` device, autotuning off).
 
 ``None`` always means "unset — inherit from the next layer down", so a
 config object may pin one field and leave the rest floating.
@@ -29,7 +29,6 @@ env-var-only plumbing):
 ===================  ==========================  =======================
 field                variable                    default
 ===================  ==========================  =======================
-``fused``            ``REPRO_GPUSIM_FUSED``      on
 ``sanitize``         ``REPRO_GPUSIM_SANITIZE``   off
 ``bounds_check``     ``REPRO_GPUSIM_BOUNDS_CHECK``  off
 ``backend``          ``REPRO_EXEC_BACKEND``      ``gpusim``
@@ -91,9 +90,6 @@ class ExecutionConfig:
     with :meth:`with_fields` (or ``dataclasses.replace``).
     """
 
-    #: Fused register-bank fast path in the SAT kernels (bit-identical to
-    #: the legacy per-register path in data, counters and timings).
-    fused: Optional[bool] = None
     #: Full kernel sanitizer (:mod:`repro.gpusim.sanitize`).
     sanitize: Optional[bool] = None
     #: Global-memory bounds checking debug mode.
@@ -130,8 +126,8 @@ class ExecutionConfig:
         """Hashable compatibility key for request coalescing.
 
         Two requests may share a batched launch only if every resolved
-        execution field matches — mixing, say, a sanitized request into a
-        fused batch would silently drop its instrumentation.  The key is
+        execution field matches — mixing, say, a sanitized request into an
+        unsanitized batch would silently drop its instrumentation.  The key is
         the sorted ``(field, value)`` tuple of a **fully resolved** config
         (resolve first with :func:`resolve_execution`, which also folds in
         the submitting thread's ambient contexts and environment);
@@ -164,7 +160,6 @@ class ExecutionConfig:
 #: profile instead of hand-wiring raw env vars per job.
 PROFILES: Dict[str, ExecutionConfig] = {
     "default": ExecutionConfig(),
-    "legacy": ExecutionConfig(fused=False),
     "sanitized": ExecutionConfig(sanitize=True),
     "compiled": ExecutionConfig(backend="compiled"),
     "autotuned": ExecutionConfig(autotune=True),
@@ -172,7 +167,6 @@ PROFILES: Dict[str, ExecutionConfig] = {
 
 #: Per-field environment variables (the lowest-precedence explicit layer).
 ENV_VARS: Dict[str, str] = {
-    "fused": "REPRO_GPUSIM_FUSED",
     "sanitize": "REPRO_GPUSIM_SANITIZE",
     "bounds_check": "REPRO_GPUSIM_BOUNDS_CHECK",
     "backend": "REPRO_EXEC_BACKEND",
@@ -180,12 +174,12 @@ ENV_VARS: Dict[str, str] = {
     "autotune": "REPRO_PLAN_AUTOTUNE",
 }
 
-_BOOL_FIELDS = ("fused", "sanitize", "bounds_check", "autotune")
+_BOOL_FIELDS = ("sanitize", "bounds_check", "autotune")
 
 #: Built-in defaults — the behaviour with nothing configured anywhere.
 _BUILTIN = ExecutionConfig(
-    fused=True, sanitize=False, bounds_check=False, backend="gpusim",
-    device="P100", autotune=False,
+    sanitize=False, bounds_check=False, backend="gpusim", device="P100",
+    autotune=False,
 )
 
 ConfigLike = Union["ExecutionConfig", Mapping, str, None]

@@ -8,7 +8,8 @@ The three paper kernels register their specs at import time
 :func:`repro.sat` API, the batched engine, benchmarks — read the spec
 instead of hard-coding geometry per call site.
 
-A *backend* executes a :class:`KernelSpec`.  Two ship with the package:
+A *backend* executes a :class:`KernelSpec`.  Three ship with the
+package (:mod:`repro.exec.backends`):
 
 * ``gpusim`` — the warp-synchronous simulator (counters, cost model,
   sanitizer); the default.
@@ -17,6 +18,9 @@ A *backend* executes a :class:`KernelSpec`.  Two ship with the package:
   — it exists to cross-check kernel semantics and to prove the registry
   decouples the algorithm description from the executor (the shape a
   real-GPU backend would also plug into).
+* ``compiled`` — records a launch plan on the simulator once per shape
+  bucket, then runs its lowered NumPy program with the recorded
+  counters and timings.
 
 This module imports nothing from the rest of the package (built-in
 backends are registered lazily on first lookup), so any layer can import
@@ -53,14 +57,13 @@ class PassSpec:
     ``geometry(h, w, acc, device)`` returns the ``(grid, block)`` launch
     dims for a padded ``h x w`` input with accumulator dtype ``acc``;
     ``extra_args(opts)`` builds the trailing kernel arguments after
-    ``(src, dst)`` from the algorithm options (including the resolved
-    ``fused`` mode); ``host(arr)`` is the pass's mathematical semantics on
-    a host array (already in the accumulator dtype), used by the ``host``
-    backend and by nothing else; ``lower(stats, tp, opts)`` (optional)
-    returns the pass's closed-form NumPy program for warm execution — a
-    ``(depth, H, W) -> (depth, H', W')`` function bit-identical
-    to the kernel, built from the *recorded* launch stats (see
-    :mod:`repro.compile`).
+    ``(src, dst)`` from the algorithm options; ``host(arr)`` is the pass's
+    mathematical semantics on a host array (already in the accumulator
+    dtype), used by the ``host`` backend and by nothing else;
+    ``lower(stats, tp, opts)`` (optional) returns the pass's closed-form
+    NumPy program for warm execution — a ``(depth, H, W) -> (depth, H',
+    W')`` function bit-identical to the kernel, built from the *recorded*
+    launch stats (see :mod:`repro.compile`).
     """
 
     #: Display/launch name, e.g. ``"BRLT-ScanRow#1"``.
@@ -194,7 +197,7 @@ def register_backend(name: str, backend) -> None:
 
 def _ensure_builtin_backends() -> None:
     if "gpusim" not in _BACKENDS:
-        # Importing the module registers the gpusim and host backends.
+        # Importing the module registers the built-in backends.
         from . import backends  # noqa: F401
 
 

@@ -46,9 +46,6 @@ __all__ = [
     "sector_count",
     "clear_sector_pattern_cache",
     "clear_bank_pattern_cache",
-    "fused_enabled",
-    "bounds_check_enabled",
-    "sanitize_enabled",
     "Sanitizer",
     "SanitizerError",
     "SanitizerReport",
@@ -64,15 +61,3 @@ __all__ = [
     "occupancy",
     "project_stats",
 ]
-
-#: Deprecated mode helpers, forwarded lazily so plain ``import repro``
-#: never triggers their DeprecationWarning (see :mod:`repro.gpusim.config`).
-_DEPRECATED_CONFIG = ("fused_enabled", "bounds_check_enabled", "sanitize_enabled")
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_CONFIG:
-        from . import config
-
-        return getattr(config, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

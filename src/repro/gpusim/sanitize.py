@@ -41,10 +41,10 @@ attached to the launch's :class:`~repro.gpusim.cost.model.KernelTiming`.
 
 The checks are *observers*: they never touch :class:`CostCounters` or the
 dependency chain, so sanitized runs produce bit-identical counters and
-timings — and they operate on the same broadcast offset arrays both the
-legacy per-register path and the fused :class:`RegBank` path present
-(fused tile accesses validate their whole access set in one call), so the
-two paths check, and report, exactly the same element accesses.
+timings.  They operate on the broadcast offset arrays that per-register
+accesses and :class:`RegBank` tile accesses both present (a tile access
+validates its whole access set in one call), so the report counts the
+same element accesses whichever form a kernel uses.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ class BankConflictError(SanitizerError):
 class SanitizerReport:
     """What one sanitized kernel execution checked (attached to timing).
 
-    All counts are element-granular so the legacy per-register and fused
-    register-bank paths — which issue different numbers of *instructions*
-    for the same work — report identical numbers.
+    All counts are element-granular so per-register and register-bank
+    accesses — which issue different numbers of *instructions* for the
+    same work — report identical numbers.
     """
 
     kernel: str

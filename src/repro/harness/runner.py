@@ -100,8 +100,9 @@ class Runner:
         self.validate = validate
         self.seed = seed
         #: Optional :class:`~repro.exec.ExecutionConfig` scoped over every
-        #: calibration run (e.g. ``ExecutionConfig(fused=False)`` to sweep
-        #: the legacy path).  ``None`` uses the ambient resolution.
+        #: calibration run (e.g. ``ExecutionConfig(sanitize=True)`` to
+        #: sweep under the sanitizer).  ``None`` uses the ambient
+        #: resolution.
         self.config = config
         self._cache: Dict[tuple, MeasuredPoint] = {}
 

@@ -14,20 +14,14 @@ Decision procedure, per ``(device, pair, shape bucket, batch bucket)``:
    with :func:`~repro.gpusim.cost.projection.project_stats` and rank by
    modeled time;
 4. pick the argmin; derive the companion knobs (backend for the batch
-   depth, fused path, shard tile) from the model's structure.
+   depth, shard tile) from the model's structure.
 
-Two knobs the model *cannot* rank are decided from its structure
-instead of its numbers, and documented as such:
-
-* ``fused`` — the fused register-bank path is bit-identical to the
-  legacy path in data, counters and timings by construction, so modeled
-  time cannot separate them; the planner always recommends the fused
-  path (it is strictly faster in host wall time).
-* ``backend`` — the ``compiled`` backend replays the recorded plan with
-  identical modeled counters/timings; its value is warm wall speed.  The
-  planner recommends it once a batch is deep enough to amortise the cold
-  compile (``COMPILED_BATCH_MIN``), and never overrides an explicitly
-  requested backend.
+The backend is a knob the model *cannot* rank, so it is decided from
+the model's structure instead of its numbers: the ``compiled`` backend
+replays the recorded plan with identical modeled counters/timings; its
+value is warm wall speed.  The planner recommends it once a batch is
+deep enough to amortise the cold compile (``COMPILED_BATCH_MIN``), and
+never overrides an explicitly requested backend.
 
 Decisions are cached in a thread-safe :class:`~repro.engine.lru.
 LRUCache` (``plan.cache.*`` metrics) and are deterministic: same key,
@@ -140,7 +134,6 @@ class PlanDecision:
     algorithm: str
     opts: Tuple[Tuple[str, str], ...]
     backend: str
-    fused: bool
     #: Modeled time of the winner at the bucket's representative size.
     modeled_us: float
     #: Every candidate's ``(label, modeled_us)``, fastest first.
@@ -170,7 +163,6 @@ class PlanDecision:
             "algorithm": self.algorithm,
             "opts": dict(self.opts),
             "backend": self.backend,
-            "fused": self.fused,
             "modeled_us": round(self.modeled_us, 3),
             "ranking": [[label, round(us, 3)] for label, us in self.ranking],
             "block": list(self.block),
@@ -241,14 +233,13 @@ class Planner:
             calibration if calibration is not None
             else _env_int("REPRO_PLAN_CALIBRATION", 512))
         # Candidate calibrations always run on the simulator with the
-        # canonical modes: fused (bit-identical to legacy), unsanitized
-        # (the sanitizer perturbs nothing but costs host time), no
-        # autotune (the planner must never recurse into itself).
+        # canonical modes: unsanitized (the sanitizer perturbs nothing but
+        # costs host time), no autotune (the planner must never recurse
+        # into itself).
         self._runner = Runner(
             calibration=self.calibration, validate=False,
-            config=ExecutionConfig(fused=True, sanitize=False,
-                                   bounds_check=False, backend="gpusim",
-                                   autotune=False),
+            config=ExecutionConfig(sanitize=False, bounds_check=False,
+                                   backend="gpusim", autotune=False),
         )
         self._runner_lock = threading.RLock()
         self._cache = LRUCache(
@@ -327,8 +318,7 @@ class Planner:
                 "plan.decision", category="plan",
                 device=device, pair=pair, bucket=bucket,
                 algorithm=decision.algorithm, opts=dict(decision.opts),
-                backend=decision.backend, fused=decision.fused,
-                block=decision.block,
+                backend=decision.backend, block=decision.block,
                 modeled_us=round(decision.modeled_us, 3),
                 runner_up=runner_up[0] if runner_up else None,
                 runner_up_us=round(runner_up[1], 3) if runner_up else None,
@@ -364,7 +354,6 @@ class Planner:
             algorithm=best.algorithm, opts=best.opts,
             backend=("compiled" if batch_bucket >= COMPILED_BATCH_MIN
                      else "gpusim"),
-            fused=True,
             modeled_us=best_us,
             ranking=tuple((c.label, us) for us, _, c, _ in timed),
             block=(int(block[0]), int(block[1])) if block else (0, 0),

@@ -172,8 +172,8 @@ def sat(
     **opts:
         Algorithm-specific options, e.g. ``scan="ladner_fischer"`` for the
         parallel-warp-scan kernels, or ``brlt_stride=32`` for the
-        bank-conflict ablation; plus the execution knobs ``fused=``,
-        ``sanitize=`` and ``bounds_check=``.  With ``algorithm="auto"``,
+        bank-conflict ablation; plus the execution knobs ``sanitize=``
+        and ``bounds_check=``.  With ``algorithm="auto"``,
         explicit opts win over the planner's chosen opts.
 
     Returns

@@ -22,7 +22,6 @@ per-type kernel zoo.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import List
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from ..exec.config import resolve_execution
 from ..exec.registry import KernelSpec, PassSpec, get_backend, register_kernel_spec
 from ..gpusim.global_mem import GlobalArray
 from ..obs.trace import current_tracer, kernel_phase
-from ..scan.serial import serial_scan_bank, serial_scan_registers
-from .brlt import alloc_brlt_smem, brlt_transpose, brlt_transpose_bank
+from ..scan.serial import serial_scan_bank
+from .brlt import alloc_brlt_smem, brlt_transpose_bank
 from .common import SatRun, block_threads
 from .partial_sum import alloc_partial_sum_smem, block_prefix_offsets
 
@@ -40,18 +39,15 @@ __all__ = ["brlt_scanrow_kernel", "brlt_scanrow_pass", "sat_brlt_scanrow", "SPEC
 
 
 def brlt_scanrow_kernel(ctx, src: GlobalArray, dst: GlobalArray, brlt_stride: int = 33,
-                        fused: bool = None, brlt_barrier: bool = True):
+                        brlt_barrier: bool = True):
     """The BRLT-ScanRow kernel body (one pass over ``src``).
 
     ``src`` is ``H x W``; ``dst`` must be ``W x H`` and receives the
-    transposed row-prefix matrix.  ``fused`` selects the register-bank
-    fast path (default: the ``REPRO_GPUSIM_FUSED`` setting); both paths
-    produce bit-identical data, counters and timings.  ``brlt_barrier=
-    False`` drops the ``__syncthreads`` between BRLT staging batches — a
-    deliberately broken variant the sanitizer self-test must catch.
+    transposed row-prefix matrix.  Each warp's 32x32 tile lives in one
+    :class:`~repro.gpusim.regfile.RegBank`.  ``brlt_barrier=False`` drops
+    the ``__syncthreads`` between BRLT staging batches — a deliberately
+    broken variant the sanitizer self-test must catch.
     """
-    if fused is None:
-        fused = resolve_execution().fused
     tr = current_tracer()
     h, w = src.shape
     acc = dst.dtype
@@ -72,52 +68,28 @@ def brlt_scanrow_kernel(ctx, src: GlobalArray, dst: GlobalArray, brlt_stride: in
         partial = (strip + 1) * strip_w > w
         scope = ctx.only_warps(col0 < w) if partial else nullcontext()
         with scope:
-            if fused:
-                # 1. coalesced tile load (+ accumulator-type conversion)
-                with kernel_phase(tr, ctx, "load"):
-                    bank = src.load_tile(
-                        ctx, row0, col0 + lane, count=32, reg_stride=src.elem_stride(0)
-                    ).astype(acc)
-                # 2. BRLT: thread <- row, register index <- column
-                with kernel_phase(tr, ctx, "brlt"):
-                    bank = brlt_transpose_bank(ctx, bank, smem_t, barrier=brlt_barrier)
-                # 3. per-thread serial scan along the 32 registers (Alg. 2)
-                with kernel_phase(tr, ctx, "scan"):
-                    bank = serial_scan_bank(ctx, bank)
-                # 4. cross-warp offsets within the strip + the strip carry
-                with kernel_phase(tr, ctx, "offsets"):
-                    ctx.syncthreads()
-                    offs, total = block_prefix_offsets(ctx, bank.reg(31), smem_p)
-                    offs = offs + carry
-                    bank = bank + offs
-                    carry = carry + total
-                # 5. transposed, coalesced store: dst[col, row]
-                with kernel_phase(tr, ctx, "store"):
-                    dst.store_tile(ctx, col0, row0 + lane, bank=bank,
-                                   reg_stride=dst.elem_stride(0))
-            else:
-                # 1. coalesced tile load (+ conversion into the accumulator type)
-                with kernel_phase(tr, ctx, "load"):
-                    data: List = [
-                        src.load(ctx, row0 + j, col0 + lane).astype(acc) for j in range(32)
-                    ]
-                # 2. BRLT: thread <- row, register index <- column
-                with kernel_phase(tr, ctx, "brlt"):
-                    data = brlt_transpose(ctx, data, smem_t, barrier=brlt_barrier)
-                # 3. per-thread serial scan along the 32 registers (Alg. 2)
-                with kernel_phase(tr, ctx, "scan"):
-                    data = serial_scan_registers(ctx, data)
-                # 4. cross-warp offsets within the strip, plus the strip carry
-                with kernel_phase(tr, ctx, "offsets"):
-                    ctx.syncthreads()
-                    offs, total = block_prefix_offsets(ctx, data[31], smem_p)
-                    offs = offs + carry
-                    data = [d + offs for d in data]
-                    carry = carry + total
-                # 5. transposed, coalesced store: dst[col, row]
-                with kernel_phase(tr, ctx, "store"):
-                    for j in range(32):
-                        dst.store(ctx, col0 + j, row0 + lane, value=data[j])
+            # 1. coalesced tile load (+ accumulator-type conversion)
+            with kernel_phase(tr, ctx, "load"):
+                bank = src.load_tile(
+                    ctx, row0, col0 + lane, count=32, reg_stride=src.elem_stride(0)
+                ).astype(acc)
+            # 2. BRLT: thread <- row, register index <- column
+            with kernel_phase(tr, ctx, "brlt"):
+                bank = brlt_transpose_bank(ctx, bank, smem_t, barrier=brlt_barrier)
+            # 3. per-thread serial scan along the 32 registers (Alg. 2)
+            with kernel_phase(tr, ctx, "scan"):
+                bank = serial_scan_bank(ctx, bank)
+            # 4. cross-warp offsets within the strip + the strip carry
+            with kernel_phase(tr, ctx, "offsets"):
+                ctx.syncthreads()
+                offs, total = block_prefix_offsets(ctx, bank.reg(31), smem_p)
+                offs = offs + carry
+                bank = bank + offs
+                carry = carry + total
+            # 5. transposed, coalesced store: dst[col, row]
+            with kernel_phase(tr, ctx, "store"):
+                dst.store_tile(ctx, col0, row0 + lane, bank=bank,
+                               reg_stride=dst.elem_stride(0))
         if strip + 1 < n_strips:
             ctx.syncthreads()
 
@@ -130,11 +102,7 @@ def _tile_geometry(h, w, acc, device):
 
 
 def _extra_args(opts):
-    return (
-        opts.get("brlt_stride", 33),
-        opts.get("fused"),
-        opts.get("brlt_barrier", True),
-    )
+    return (opts.get("brlt_stride", 33), opts.get("brlt_barrier", True))
 
 
 def _host_pass(a):
@@ -190,31 +158,29 @@ SPEC = register_kernel_spec(
 
 def brlt_scanrow_pass(
     src: GlobalArray, *, device, acc, name: str, brlt_stride: int = 33,
-    fused: bool = None, brlt_barrier: bool = True, sanitize: bool = None,
-    bounds_check: bool = None,
+    brlt_barrier: bool = True, sanitize: bool = None, bounds_check: bool = None,
 ) -> tuple:
     """Launch one BRLT-ScanRow pass; returns ``(dst, stats)``."""
     from ..exec.backends import launch_pass
 
     return launch_pass(
         SPEC.passes[0], src, acc=acc, device=device, name=name,
-        opts={"brlt_stride": brlt_stride, "fused": fused,
-              "brlt_barrier": brlt_barrier},
+        opts={"brlt_stride": brlt_stride, "brlt_barrier": brlt_barrier},
         sanitize=sanitize, bounds_check=bounds_check,
     )
 
 
 def sat_brlt_scanrow(image: np.ndarray, pair="32f32f", device=None, brlt_stride: int = 33,
-                     fused: bool = None, brlt_barrier: bool = True,
+                     brlt_barrier: bool = True,
                      sanitize: bool = None, bounds_check: bool = None,
                      backend: str = None, config=None, **_opts) -> SatRun:
     """Full SAT via two BRLT-ScanRow passes (Sec. IV-B)."""
     tp = parse_pair(pair)
-    res = resolve_execution(config, fused=fused, sanitize=sanitize,
+    res = resolve_execution(config, sanitize=sanitize,
                             bounds_check=bounds_check, backend=backend,
                             device=device)
     return get_backend(res.backend).run(
         SPEC, image, tp=tp, device=res.device,
         opts={"brlt_stride": brlt_stride, "brlt_barrier": brlt_barrier},
-        fused=res.fused, sanitize=res.sanitize, bounds_check=res.bounds_check,
+        sanitize=res.sanitize, bounds_check=res.bounds_check,
     )

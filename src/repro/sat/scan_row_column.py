@@ -21,7 +21,6 @@ T_ScanRow + T_ScanColumn`` (Sec. VI-D item 2) is what justifies BRLT.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import List
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from ..exec.registry import KernelSpec, PassSpec, get_backend, register_kernel_s
 from ..gpusim.global_mem import GlobalArray
 from ..obs.trace import current_tracer, kernel_phase
 from ..scan import WARP_SCANS
-from ..scan.serial import serial_scan_bank, serial_scan_registers
+from ..scan.serial import serial_scan_bank
 from .common import SatRun, block_threads
 from .partial_sum import alloc_partial_sum_smem, block_prefix_offsets
 
@@ -45,11 +44,8 @@ __all__ = [
 ]
 
 
-def scanrow_kernel(ctx, src: GlobalArray, dst: GlobalArray, scan_name: str = "kogge_stone",
-                   fused: bool = None):
+def scanrow_kernel(ctx, src: GlobalArray, dst: GlobalArray, scan_name: str = "kogge_stone"):
     """Row-prefix kernel: one warp per row, 32-element chunks with carry."""
-    if fused is None:
-        fused = resolve_execution().fused
     tr = current_tracer()
     h, w = src.shape
     acc = dst.dtype
@@ -65,43 +61,26 @@ def scanrow_kernel(ctx, src: GlobalArray, dst: GlobalArray, scan_name: str = "ko
     while c < n_chunks:
         # Cache up to C=32 chunks (1024 elements per warp) in registers.
         batch = min(32, n_chunks - c)
-        if fused:
-            # Fused tile load/store; the scan-and-carry chain stays a
-            # per-register loop — the carry makes it inherently serial.
-            with kernel_phase(tr, ctx, "load"):
-                bank = src.load_tile(
-                    ctx, row, c * 32 + lane, count=batch, reg_stride=32
-                ).astype(acc)
-            with kernel_phase(tr, ctx, "scan_carry"):
-                for j in range(batch):
-                    # Inject the running carry into lane 0; the scan propagates it.
-                    r = bank.reg(j).add_where(lane == 0, carry)
-                    r = warp_scan(ctx, r)
-                    bank.set_reg(j, r)
-                    carry = ctx.shfl(r, 31)
-            with kernel_phase(tr, ctx, "store"):
-                dst.store_tile(ctx, row, c * 32 + lane, bank=bank, reg_stride=32)
-        else:
-            with kernel_phase(tr, ctx, "load"):
-                data: List = [
-                    src.load(ctx, row, (c + j) * 32 + lane).astype(acc) for j in range(batch)
-                ]
-            with kernel_phase(tr, ctx, "scan_carry"):
-                for j in range(batch):
-                    # Inject the running carry into lane 0; the scan propagates it.
-                    data[j] = data[j].add_where(lane == 0, carry)
-                    data[j] = warp_scan(ctx, data[j])
-                    carry = ctx.shfl(data[j], 31)
-            with kernel_phase(tr, ctx, "store"):
-                for j in range(batch):
-                    dst.store(ctx, row, (c + j) * 32 + lane, value=data[j])
+        # Tile load/store; the scan-and-carry chain stays a per-register
+        # loop — the carry makes it inherently serial.
+        with kernel_phase(tr, ctx, "load"):
+            bank = src.load_tile(
+                ctx, row, c * 32 + lane, count=batch, reg_stride=32
+            ).astype(acc)
+        with kernel_phase(tr, ctx, "scan_carry"):
+            for j in range(batch):
+                # Inject the running carry into lane 0; the scan propagates it.
+                r = bank.reg(j).add_where(lane == 0, carry)
+                r = warp_scan(ctx, r)
+                bank.set_reg(j, r)
+                carry = ctx.shfl(r, 31)
+        with kernel_phase(tr, ctx, "store"):
+            dst.store_tile(ctx, row, c * 32 + lane, bank=bank, reg_stride=32)
         c += batch
 
 
-def scancolumn_kernel(ctx, src: GlobalArray, dst: GlobalArray, fused: bool = None):
+def scancolumn_kernel(ctx, src: GlobalArray, dst: GlobalArray):
     """Column-prefix kernel: 32-column stripes, serial scan per thread."""
-    if fused is None:
-        fused = resolve_execution().fused
     tr = current_tracer()
     h, w = src.shape
     acc = dst.dtype
@@ -120,42 +99,24 @@ def scancolumn_kernel(ctx, src: GlobalArray, dst: GlobalArray, fused: bool = Non
         partial = (band + 1) * band_h > h
         scope = ctx.only_warps(row0 < h) if partial else nullcontext()
         with scope:
-            if fused:
-                # Coalesced tile load: lanes walk adjacent columns.
-                with kernel_phase(tr, ctx, "load"):
-                    bank = src.load_tile(
-                        ctx, row0, col, count=32, reg_stride=src.elem_stride(0)
-                    ).astype(acc)
-                # Serial scan straight down the column (Alg. 2).
-                with kernel_phase(tr, ctx, "scan"):
-                    bank = serial_scan_bank(ctx, bank)
-                # Cross-warp fix-up within the band + running band carry.
-                with kernel_phase(tr, ctx, "offsets"):
-                    ctx.syncthreads()
-                    offs, total = block_prefix_offsets(ctx, bank.reg(31), smem_p)
-                    offs = offs + carry
-                    bank = bank + offs
-                    carry = carry + total
-                with kernel_phase(tr, ctx, "store"):
-                    dst.store_tile(ctx, row0, col, bank=bank,
-                                   reg_stride=dst.elem_stride(0))
-            else:
-                # Coalesced loads: lanes walk adjacent columns.
-                with kernel_phase(tr, ctx, "load"):
-                    data: List = [src.load(ctx, row0 + j, col).astype(acc) for j in range(32)]
-                # Serial scan straight down the column (Alg. 2).
-                with kernel_phase(tr, ctx, "scan"):
-                    data = serial_scan_registers(ctx, data)
-                # Cross-warp fix-up within the band + running band carry.
-                with kernel_phase(tr, ctx, "offsets"):
-                    ctx.syncthreads()
-                    offs, total = block_prefix_offsets(ctx, data[31], smem_p)
-                    offs = offs + carry
-                    data = [d + offs for d in data]
-                    carry = carry + total
-                with kernel_phase(tr, ctx, "store"):
-                    for j in range(32):
-                        dst.store(ctx, row0 + j, col, value=data[j])
+            # Coalesced tile load: lanes walk adjacent columns.
+            with kernel_phase(tr, ctx, "load"):
+                bank = src.load_tile(
+                    ctx, row0, col, count=32, reg_stride=src.elem_stride(0)
+                ).astype(acc)
+            # Serial scan straight down the column (Alg. 2).
+            with kernel_phase(tr, ctx, "scan"):
+                bank = serial_scan_bank(ctx, bank)
+            # Cross-warp fix-up within the band + running band carry.
+            with kernel_phase(tr, ctx, "offsets"):
+                ctx.syncthreads()
+                offs, total = block_prefix_offsets(ctx, bank.reg(31), smem_p)
+                offs = offs + carry
+                bank = bank + offs
+                carry = carry + total
+            with kernel_phase(tr, ctx, "store"):
+                dst.store_tile(ctx, row0, col, bank=bank,
+                               reg_stride=dst.elem_stride(0))
         if band + 1 < n_bands:
             ctx.syncthreads()
 
@@ -218,7 +179,7 @@ SPEC = register_kernel_spec(
                 name="ScanRow",
                 kernel=scanrow_kernel,
                 geometry=_scanrow_geometry,
-                extra_args=lambda o: (o.get("scan", "kogge_stone"), o.get("fused")),
+                extra_args=lambda o: (o.get("scan", "kogge_stone"),),
                 host=lambda a: np.cumsum(a, axis=1, dtype=a.dtype),
                 grid_axis="y",
                 transposed=False,
@@ -228,7 +189,7 @@ SPEC = register_kernel_spec(
                 name="ScanColumn",
                 kernel=scancolumn_kernel,
                 geometry=_scancolumn_geometry,
-                extra_args=lambda o: (o.get("fused"),),
+                extra_args=lambda o: (),
                 host=lambda a: np.cumsum(a, axis=0, dtype=a.dtype),
                 grid_axis="x",
                 transposed=False,
@@ -240,41 +201,39 @@ SPEC = register_kernel_spec(
 
 
 def scanrow_pass(src: GlobalArray, *, device, acc, name: str = "ScanRow",
-                 scan: str = "kogge_stone", fused: bool = None,
+                 scan: str = "kogge_stone",
                  sanitize: bool = None, bounds_check: bool = None) -> tuple:
     """Launch the ScanRow kernel; returns ``(dst, stats)``."""
     from ..exec.backends import launch_pass
 
     return launch_pass(
         SPEC.passes[0], src, acc=acc, device=device, name=name,
-        opts={"scan": scan, "fused": fused},
+        opts={"scan": scan},
         sanitize=sanitize, bounds_check=bounds_check,
     )
 
 
 def scancolumn_pass(src: GlobalArray, *, device, acc, name: str = "ScanColumn",
-                    fused: bool = None, sanitize: bool = None,
-                    bounds_check: bool = None) -> tuple:
+                    sanitize: bool = None, bounds_check: bool = None) -> tuple:
     """Launch the ScanColumn kernel; returns ``(dst, stats)``."""
     from ..exec.backends import launch_pass
 
     return launch_pass(
         SPEC.passes[1], src, acc=acc, device=device, name=name,
-        opts={"fused": fused},
         sanitize=sanitize, bounds_check=bounds_check,
     )
 
 
 def sat_scan_row_column(image: np.ndarray, pair="32f32f", device=None,
-                        scan: str = "kogge_stone", fused: bool = None,
+                        scan: str = "kogge_stone",
                         sanitize: bool = None, bounds_check: bool = None,
                         backend: str = None, config=None, **_opts) -> SatRun:
     """Full SAT via ScanRow then ScanColumn (Sec. IV-C, Fig. 5)."""
     tp = parse_pair(pair)
-    res = resolve_execution(config, fused=fused, sanitize=sanitize,
+    res = resolve_execution(config, sanitize=sanitize,
                             bounds_check=bounds_check, backend=backend,
                             device=device)
     return get_backend(res.backend).run(
         SPEC, image, tp=tp, device=res.device, opts={"scan": scan},
-        fused=res.fused, sanitize=res.sanitize, bounds_check=res.bounds_check,
+        sanitize=res.sanitize, bounds_check=res.bounds_check,
     )

@@ -25,7 +25,6 @@ difference Sec. VI-D item 3 measures.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import List
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from ..gpusim.global_mem import GlobalArray
 from ..gpusim.regfile import RegBank
 from ..obs.trace import current_tracer, kernel_phase
 from ..scan import WARP_SCANS, WARP_SCANS_BANK
-from .brlt import alloc_brlt_smem, brlt_transpose, brlt_transpose_bank
+from .brlt import alloc_brlt_smem, brlt_transpose_bank
 from .brlt_scanrow import _tile_geometry
 from .common import SatRun
 from .partial_sum import alloc_partial_sum_smem, block_prefix_offsets
@@ -44,11 +43,9 @@ from .partial_sum import alloc_partial_sum_smem, block_prefix_offsets
 __all__ = ["scanrow_brlt_kernel", "scanrow_brlt_pass", "sat_scanrow_brlt", "SPEC"]
 
 
-def scanrow_brlt_kernel(ctx, src: GlobalArray, dst: GlobalArray, scan_name: str = "kogge_stone",
-                        fused: bool = None):
+def scanrow_brlt_kernel(ctx, src: GlobalArray, dst: GlobalArray,
+                        scan_name: str = "kogge_stone"):
     """The ScanRow-BRLT kernel body (one pass over ``src``)."""
-    if fused is None:
-        fused = resolve_execution().fused
     tr = current_tracer()
     h, w = src.shape
     acc = dst.dtype
@@ -71,65 +68,41 @@ def scanrow_brlt_kernel(ctx, src: GlobalArray, dst: GlobalArray, scan_name: str 
         partial = (strip + 1) * strip_w > w
         scope = ctx.only_warps(col0 < w) if partial else nullcontext()
         with scope:
-            if fused:
-                # 1. coalesced tile load
-                with kernel_phase(tr, ctx, "load"):
-                    bank = src.load_tile(
-                        ctx, row0, col0 + lane, count=32, reg_stride=src.elem_stride(0)
-                    ).astype(acc)
-                # 2. parallel warp-scan of every register along the lanes
-                with kernel_phase(tr, ctx, "warp_scan"):
-                    if warp_scan_bank is not None:
-                        bank = warp_scan_bank(ctx, bank)
-                    else:
-                        # Scans without a fused variant: per-register loop over
-                        # bank views — identical counters, slower dispatch.
-                        bank = RegBank.from_regs(
-                            ctx, [warp_scan(ctx, bank.reg(j)) for j in range(bank.nregs)]
-                        )
-                # 3. BRLT: thread <- row, register index <- column
-                with kernel_phase(tr, ctx, "brlt"):
-                    bank = brlt_transpose_bank(ctx, bank, smem_t)
-                # 4. cross-warp offsets + strip carry (Fig. 3c)
-                with kernel_phase(tr, ctx, "offsets"):
-                    ctx.syncthreads()
-                    offs, total = block_prefix_offsets(ctx, bank.reg(31), smem_p)
-                    offs = offs + carry
-                    bank = bank + offs
-                    carry = carry + total
-                # 5. transposed, coalesced store
-                with kernel_phase(tr, ctx, "store"):
-                    dst.store_tile(ctx, col0, row0 + lane, bank=bank,
-                                   reg_stride=dst.elem_stride(0))
-            else:
-                # 1. coalesced tile load
-                with kernel_phase(tr, ctx, "load"):
-                    data: List = [
-                        src.load(ctx, row0 + j, col0 + lane).astype(acc) for j in range(32)
-                    ]
-                # 2. parallel warp-scan of every register along the lanes
-                with kernel_phase(tr, ctx, "warp_scan"):
-                    data = [warp_scan(ctx, d) for d in data]
-                # 3. BRLT: thread <- row, register index <- column
-                with kernel_phase(tr, ctx, "brlt"):
-                    data = brlt_transpose(ctx, data, smem_t)
-                # 4. cross-warp offsets + strip carry (Fig. 3c)
-                with kernel_phase(tr, ctx, "offsets"):
-                    ctx.syncthreads()
-                    offs, total = block_prefix_offsets(ctx, data[31], smem_p)
-                    offs = offs + carry
-                    data = [d + offs for d in data]
-                    carry = carry + total
-                # 5. transposed, coalesced store
-                with kernel_phase(tr, ctx, "store"):
-                    for j in range(32):
-                        dst.store(ctx, col0 + j, row0 + lane, value=data[j])
+            # 1. coalesced tile load
+            with kernel_phase(tr, ctx, "load"):
+                bank = src.load_tile(
+                    ctx, row0, col0 + lane, count=32, reg_stride=src.elem_stride(0)
+                ).astype(acc)
+            # 2. parallel warp-scan of every register along the lanes
+            with kernel_phase(tr, ctx, "warp_scan"):
+                if warp_scan_bank is not None:
+                    bank = warp_scan_bank(ctx, bank)
+                else:
+                    # Scans without a bank variant: per-register loop over
+                    # bank views — identical counters, slower dispatch.
+                    bank = RegBank.from_regs(
+                        ctx, [warp_scan(ctx, bank.reg(j)) for j in range(bank.nregs)]
+                    )
+            # 3. BRLT: thread <- row, register index <- column
+            with kernel_phase(tr, ctx, "brlt"):
+                bank = brlt_transpose_bank(ctx, bank, smem_t)
+            # 4. cross-warp offsets + strip carry (Fig. 3c)
+            with kernel_phase(tr, ctx, "offsets"):
+                ctx.syncthreads()
+                offs, total = block_prefix_offsets(ctx, bank.reg(31), smem_p)
+                offs = offs + carry
+                bank = bank + offs
+                carry = carry + total
+            # 5. transposed, coalesced store
+            with kernel_phase(tr, ctx, "store"):
+                dst.store_tile(ctx, col0, row0 + lane, bank=bank,
+                               reg_stride=dst.elem_stride(0))
         if strip + 1 < n_strips:
             ctx.syncthreads()
 
 
 def _extra_args(opts):
-    return (opts.get("scan", "kogge_stone"), opts.get("fused"))
+    return (opts.get("scan", "kogge_stone"),)
 
 
 def _host_pass(a):
@@ -182,28 +155,28 @@ SPEC = register_kernel_spec(
 
 
 def scanrow_brlt_pass(src: GlobalArray, *, device, acc, name: str,
-                      scan: str = "kogge_stone", fused: bool = None,
+                      scan: str = "kogge_stone",
                       sanitize: bool = None, bounds_check: bool = None) -> tuple:
     """Launch one ScanRow-BRLT pass; returns ``(dst, stats)``."""
     from ..exec.backends import launch_pass
 
     return launch_pass(
         SPEC.passes[0], src, acc=acc, device=device, name=name,
-        opts={"scan": scan, "fused": fused},
+        opts={"scan": scan},
         sanitize=sanitize, bounds_check=bounds_check,
     )
 
 
 def sat_scanrow_brlt(image: np.ndarray, pair="32f32f", device=None,
-                     scan: str = "kogge_stone", fused: bool = None,
+                     scan: str = "kogge_stone",
                      sanitize: bool = None, bounds_check: bool = None,
                      backend: str = None, config=None, **_opts) -> SatRun:
     """Full SAT via two ScanRow-BRLT passes (Sec. IV-A)."""
     tp = parse_pair(pair)
-    res = resolve_execution(config, fused=fused, sanitize=sanitize,
+    res = resolve_execution(config, sanitize=sanitize,
                             bounds_check=bounds_check, backend=backend,
                             device=device)
     return get_backend(res.backend).run(
         SPEC, image, tp=tp, device=res.device, opts={"scan": scan},
-        fused=res.fused, sanitize=res.sanitize, bounds_check=res.bounds_check,
+        sanitize=res.sanitize, bounds_check=res.bounds_check,
     )

@@ -10,7 +10,7 @@ from .brent_kung import brent_kung_scan
 from .han_carlson import han_carlson_scan
 from .kogge_stone import kogge_stone_scan, kogge_stone_scan_bank
 from .ladner_fischer import ladner_fischer_scan
-from .serial import serial_scan_bank, serial_scan_inplace, serial_scan_registers
+from .serial import serial_scan_bank, serial_scan_registers
 from .reference import (
     brent_kung_adds,
     exclusive_scan,
@@ -32,9 +32,9 @@ WARP_SCANS: Dict[str, Callable] = {
     "han_carlson": han_carlson_scan,
 }
 
-#: Fused register-bank variants (one dispatch scans all 32 registers).
-#: Scans without a bank variant fall back to a per-register loop in the
-#: fused kernels — counters are identical either way.
+#: Register-bank variants (one dispatch scans all 32 registers).  Scans
+#: without a bank variant fall back to a per-register loop over bank views
+#: in the kernels — counters are identical either way.
 WARP_SCANS_BANK: Dict[str, Callable] = {
     "kogge_stone": kogge_stone_scan_bank,
 }
@@ -48,7 +48,6 @@ __all__ = [
     "han_carlson_scan",
     "kogge_stone_scan",
     "ladner_fischer_scan",
-    "serial_scan_inplace",
     "serial_scan_registers",
     "inclusive_scan",
     "exclusive_scan",

@@ -18,7 +18,7 @@ import numpy as np
 from ..gpusim.block import KernelContext
 from ..gpusim.regfile import RegArray, RegBank
 
-__all__ = ["serial_scan_registers", "serial_scan_inplace", "serial_scan_bank"]
+__all__ = ["serial_scan_registers", "serial_scan_bank"]
 
 
 def serial_scan_registers(
@@ -40,12 +40,6 @@ def serial_scan_registers(
     for i in range(1, len(out)):
         out[i] = out[i] + out[i - 1]
     return out
-
-
-def serial_scan_inplace(ctx: KernelContext, regs: List[RegArray]) -> None:
-    """In-place variant used where kernels mutate their register cache."""
-    for i in range(1, len(regs)):
-        regs[i] = regs[i] + regs[i - 1]
 
 
 def serial_scan_bank(

@@ -70,9 +70,7 @@ class TestBatchVsSequential:
         solo = [sat(im, pair="8u32s") for im in imgs]
         assert_run_pairs_identical(second.runs, solo)
 
-    @pytest.mark.parametrize("fused_env", ["0", "1"])
-    def test_identical_on_both_execution_paths(self, monkeypatch, fused_env):
-        monkeypatch.setenv("REPRO_GPUSIM_FUSED", fused_env)
+    def test_identical_on_both_execution_paths(self):
         imgs = make_images([(64, 64)] * 3)
         run = sat_batch(imgs, pair="8u32s", engine=Engine())
         solo = [sat(im, pair="8u32s") for im in imgs]

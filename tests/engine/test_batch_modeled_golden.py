@@ -51,8 +51,7 @@ def _case(algo: str, pair: str, depth: int, backend: str,
           bounds_check: bool) -> dict:
     imgs = [make_image(SHAPE, pair, seed=i) for i in range(depth)]
     eng = Engine()
-    # sanitize pinned off (the sanitized profile would loop per image);
-    # fused is left to the profile, whose kernel bodies must agree.
+    # sanitize pinned off (the sanitized profile would loop per image).
     with execution(ExecutionConfig(sanitize=False, bounds_check=bounds_check,
                                    backend=backend, device="P100")):
         first = eng.run_batch(imgs, pair=pair, algorithm=algo)

@@ -28,9 +28,9 @@ class TestPlanKey:
 
     def test_opts_order_canonicalised(self):
         a = PlanKey.make("x", "P100", "8u32s", (32, 32),
-                         {"scan": "kogge_stone", "fused": True})
+                         {"scan": "kogge_stone", "brlt_stride": 33})
         b = PlanKey.make("x", "P100", "8u32s", (32, 32),
-                         {"fused": True, "scan": "kogge_stone"})
+                         {"brlt_stride": 33, "scan": "kogge_stone"})
         assert a == b
 
     @pytest.mark.parametrize("kw", [

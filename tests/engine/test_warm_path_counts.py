@@ -107,7 +107,7 @@ def test_warm_chunk_reuses_its_depths_modeled_time(monkeypatch):
         assert len(calls) == n_passes
 
 
-RESOLVED = ExecutionConfig(fused=True, sanitize=False, bounds_check=False,
+RESOLVED = ExecutionConfig(sanitize=False, bounds_check=False,
                            backend="gpusim", device="P100", autotune=False)
 
 
@@ -130,5 +130,4 @@ def test_override_over_resolved_config_still_resolves(monkeypatch):
     assert calls["repro.engine.batch"] == 1
     # The override reached the plan key: a bounds-checked bucket of its own.
     assert {k.opts for k in eng.cache.keys()} == {
-        tuple(sorted({"fused": True, "bounds_check": b}.items()))
-        for b in (False, True)}
+        (("bounds_check", b),) for b in (False, True)}

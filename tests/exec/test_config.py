@@ -51,32 +51,32 @@ class TestEnvFlag:
 
 class TestConfigObject:
     def test_frozen(self):
-        cfg = ExecutionConfig(fused=True)
+        cfg = ExecutionConfig(sanitize=True)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.fused = False
+            cfg.sanitize = False
 
     def test_with_fields(self):
-        cfg = ExecutionConfig(fused=True).with_fields(sanitize=True)
-        assert cfg.fused is True and cfg.sanitize is True
-        assert cfg.bounds_check is None
+        cfg = ExecutionConfig(sanitize=True).with_fields(bounds_check=True)
+        assert cfg.sanitize is True and cfg.bounds_check is True
+        assert cfg.device is None
 
     def test_merged_over(self):
-        top = ExecutionConfig(fused=False)
-        bottom = ExecutionConfig(fused=True, sanitize=True)
+        top = ExecutionConfig(sanitize=False)
+        bottom = ExecutionConfig(sanitize=True, bounds_check=True)
         merged = top.merged_over(bottom)
-        assert merged.fused is False and merged.sanitize is True
+        assert merged.sanitize is False and merged.bounds_check is True
 
     def test_is_fully_resolved(self):
         assert not ExecutionConfig().is_fully_resolved
         assert resolve_execution().is_fully_resolved
 
     def test_hashable_cache_key(self):
-        assert ExecutionConfig(fused=True) == ExecutionConfig(fused=True)
+        assert ExecutionConfig(sanitize=True) == ExecutionConfig(sanitize=True)
         assert hash(ExecutionConfig()) == hash(ExecutionConfig())
 
     def test_compat_key_requires_resolution(self):
         with pytest.raises(ValueError, match="fully resolved"):
-            ExecutionConfig(fused=True).compat_key()
+            ExecutionConfig(sanitize=True).compat_key()
 
     def test_compat_key_round_trips_and_hashes(self):
         resolved = resolve_execution()
@@ -103,19 +103,22 @@ class TestConfigObject:
         the property request coalescing in repro.serve relies on."""
         from repro.exec.config import execution
 
-        with execution("legacy"):
+        with execution("sanitized"):
             a = resolve_execution().compat_key()
-        with execution(fused=False):
+        with execution(sanitize=True):
             b = resolve_execution().compat_key()
         assert a == b
-        monkeypatch.setenv("REPRO_GPUSIM_FUSED", "0")
+        monkeypatch.setenv("REPRO_GPUSIM_SANITIZE", "1")
         assert resolve_execution().compat_key() == a
 
     def test_compat_key_differs_when_any_field_differs(self):
         base = resolve_execution()
-        for field_ in ("fused", "sanitize", "bounds_check"):
-            flipped = resolve_execution(
-                **{field_: not getattr(base, field_)})
+        changed = {"sanitize": not base.sanitize,
+                   "bounds_check": not base.bounds_check,
+                   "backend": "host", "device": "V100"}
+        assert set(changed) == {k for k, _ in base.compat_key()}
+        for field_, value in changed.items():
+            flipped = resolve_execution(**{field_: value})
             assert flipped.compat_key() != base.compat_key()
 
 
@@ -123,15 +126,15 @@ class TestPrecedence:
     def test_builtin_defaults(self):
         res = resolve_execution()
         assert res == ExecutionConfig(
-            fused=True, sanitize=False, bounds_check=False,
-            backend="gpusim", device="P100", autotune=False,
+            sanitize=False, bounds_check=False, backend="gpusim",
+            device="P100", autotune=False,
         )
 
     def test_env_beats_builtin(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GPUSIM_FUSED", "off")
+        monkeypatch.setenv("REPRO_GPUSIM_BOUNDS_CHECK", "on")
         monkeypatch.setenv("REPRO_EXEC_DEVICE", "V100")
         res = resolve_execution()
-        assert res.fused is False and res.device == "V100"
+        assert res.bounds_check is True and res.device == "V100"
 
     def test_profile_below_specific_env_vars(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_PROFILE", "sanitized")
@@ -146,18 +149,18 @@ class TestPrecedence:
             resolve_execution()
 
     def test_context_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GPUSIM_FUSED", "0")
-        with execution(fused=True):
-            assert resolve_execution().fused is True
-        assert resolve_execution().fused is False
+        monkeypatch.setenv("REPRO_GPUSIM_SANITIZE", "1")
+        with execution(sanitize=False):
+            assert resolve_execution().sanitize is False
+        assert resolve_execution().sanitize is True
 
     def test_contexts_nest_innermost_first(self):
-        with execution(fused=False, sanitize=True):
-            with execution(fused=True):
+        with execution(bounds_check=True, sanitize=True):
+            with execution(bounds_check=False):
                 res = resolve_execution()
-                assert res.fused is True
+                assert res.bounds_check is False
                 assert res.sanitize is True  # inherited from the outer ctx
-            assert resolve_execution().fused is False
+            assert resolve_execution().bounds_check is True
 
     def test_default_config_below_contexts(self):
         prev = set_default_config(sanitize=True)
@@ -170,36 +173,37 @@ class TestPrecedence:
         assert resolve_execution().sanitize is False
 
     def test_config_object_beats_context(self):
-        with execution(fused=False):
-            res = resolve_execution(ExecutionConfig(fused=True))
-            assert res.fused is True
+        with execution(bounds_check=True):
+            res = resolve_execution(ExecutionConfig(bounds_check=False))
+            assert res.bounds_check is False
 
     def test_kwarg_beats_config_object(self):
-        res = resolve_execution(ExecutionConfig(fused=True), fused=False)
-        assert res.fused is False
+        res = resolve_execution(ExecutionConfig(bounds_check=True),
+                                bounds_check=False)
+        assert res.bounds_check is False
 
     def test_kwarg_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_GPUSIM_SANITIZE", "1")
         assert resolve_execution(sanitize=False).sanitize is False
 
     def test_none_kwarg_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GPUSIM_FUSED", "0")
-        assert resolve_execution(fused=None).fused is False
+        monkeypatch.setenv("REPRO_GPUSIM_BOUNDS_CHECK", "1")
+        assert resolve_execution(bounds_check=None).bounds_check is True
 
     def test_unknown_field_raises(self):
         with pytest.raises(TypeError, match="unknown execution fields"):
             resolve_execution(fuzed=True)
 
     def test_config_as_mapping_and_profile_name(self):
-        assert resolve_execution({"fused": False}).fused is False
-        assert resolve_execution("legacy").fused is False
+        assert resolve_execution({"bounds_check": True}).bounds_check is True
+        assert resolve_execution("compiled").backend == "compiled"
         assert resolve_execution("sanitized").sanitize is True
         with pytest.raises(ValueError, match="unknown execution profile"):
             resolve_execution("bogus")
 
     def test_profiles_registry(self):
-        assert {"default", "legacy", "sanitized"} <= set(PROFILES)
-        assert PROFILES["legacy"].fused is False
+        assert set(PROFILES) == {"default", "sanitized", "compiled",
+                                 "autotuned"}
         assert PROFILES["sanitized"].sanitize is True
 
     def test_get_default_config_roundtrip(self):
@@ -227,24 +231,31 @@ class TestEquivalentSpellingsBitIdentical:
         return np.random.default_rng(11).integers(
             0, 256, (64, 96)).astype(np.uint8)
 
-    def test_fused_off_spellings(self, monkeypatch, img):
-        via_kwarg = sat(img, pair="8u32s", fused=False)
-        via_config = sat(img, pair="8u32s", config=ExecutionConfig(fused=False))
-        with execution(fused=False):
-            via_ctx = sat(img, pair="8u32s")
-        monkeypatch.setenv("REPRO_GPUSIM_FUSED", "0")
-        via_env = sat(img, pair="8u32s")
+    def test_bounds_check_spellings(self, monkeypatch, img):
+        from repro.exec import backends
+
+        checked = []
+        real = backends.launch_kernel
+
+        def recording(*args, **kwargs):
+            checked.append(kwargs["bounds_check"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(backends, "launch_kernel", recording)
+        # An explicit algorithm keeps planner calibrations (autotuned
+        # profile) out of the recorded launches.
+        kw = dict(pair="8u32s", algorithm="brlt_scanrow")
+        via_kwarg = sat(img, bounds_check=True, **kw)
+        via_config = sat(img, config=ExecutionConfig(bounds_check=True), **kw)
+        with execution(bounds_check=True):
+            via_ctx = sat(img, **kw)
+        monkeypatch.setenv("REPRO_GPUSIM_BOUNDS_CHECK", "1")
+        via_env = sat(img, **kw)
+        assert checked == [True] * 8  # two launches per spelling
         for other in (via_config, via_ctx, via_env):
             np.testing.assert_array_equal(other.output, via_kwarg.output)
             assert _counters(other) == _counters(via_kwarg)
             assert _timings(other) == _timings(via_kwarg)
-
-    def test_fused_paths_bit_identical(self, img):
-        fast = sat(img, pair="8u32s", fused=True)
-        slow = sat(img, pair="8u32s", fused=False)
-        np.testing.assert_array_equal(fast.output, slow.output)
-        assert _counters(fast) == _counters(slow)
-        assert _timings(fast) == _timings(slow)
 
     def test_sanitize_spellings(self, monkeypatch, img):
         via_kwarg = sat(img, pair="8u32s", sanitize=True)

@@ -68,12 +68,12 @@ class TestKernelSpecs:
     def test_batch_spec_binds_opts(self):
         spec = get_kernel_spec("brlt_scanrow")
         bs = spec.batch_spec(parse_pair("8u32s"), get_device("P100"),
-                             fused=False, brlt_stride=17)
+                             brlt_stride=17)
         assert bs.pad == spec.pad
         assert [p.name for p in bs.passes] == [p.name for p in spec.passes]
         for p in bs.passes:
             assert isinstance(p, BatchPass)
-            assert p.extra_args == (17, False, True)
+            assert p.extra_args == (17, True)
 
     def test_geometry_declared_exactly_once(self):
         """No module besides the spec's own may declare launch geometry:

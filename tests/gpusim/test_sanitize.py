@@ -4,7 +4,8 @@ The self-test is the proof the detector is live rather than vacuously
 quiet: deliberately broken kernel variants (the missing inter-batch
 barrier and the stride-32 staging buffer of Alg. 5) must raise with the
 correct coordinates, while every unmutated kernel passes sanitized
-end-to-end on both the legacy and fused execution paths.
+end-to-end.  The per-kernel sanitizer reports themselves are pinned by
+the golden traces (``tests/test_golden_traces.py``).
 """
 
 import dataclasses
@@ -296,26 +297,15 @@ class TestReportAndNeutrality:
             tp.pop("sanitizer"), tc.pop("sanitizer")
             assert tp == tc
 
-    @pytest.mark.parametrize("algo", sorted(PAPER_ALGORITHMS))
-    def test_legacy_and_fused_reports_identical(self, algo):
-        """Element-granular counts: the fused tile path and the legacy
-        per-register path check exactly the same accesses."""
-        img = make_image((128, 160), "32f32f")
-        legacy = PAPER_ALGORITHMS[algo](img, pair="32f32f", sanitize=True, fused=False)
-        fused = PAPER_ALGORITHMS[algo](img, pair="32f32f", sanitize=True, fused=True)
-        for sl, sf in zip(legacy.launches, fused.launches):
-            assert sl.timing.sanitizer == sf.timing.sanitizer
-
 
 class TestMutationSelfTest:
     """Seeded bugs the sanitizer MUST catch (else it is vacuously quiet)."""
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["legacy", "fused"])
-    def test_missing_brlt_barrier_races(self, fused):
+    def test_missing_brlt_barrier_races(self):
         img = make_image((64, 1024), "8u32s")
         with pytest.raises(SharedMemoryRaceError) as ei:
             PAPER_ALGORITHMS["brlt_scanrow"](
-                img, pair="8u32s", sanitize=True, fused=fused, brlt_barrier=False
+                img, pair="8u32s", sanitize=True, brlt_barrier=False
             )
         e = ei.value
         assert e.array == "sMemBRLT"
@@ -325,36 +315,31 @@ class TestMutationSelfTest:
         assert (e.block, e.warp, e.phase) == (0, 8, 0)
         assert "warp 0" in str(e)
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["legacy", "fused"])
-    def test_missing_barrier_unflagged_without_sanitizer(self, fused):
+    def test_missing_barrier_unflagged_without_sanitizer(self):
         """Lock-step simulation hides the bug — exactly the soundness gap
         the sanitizer exists to close."""
         img = make_image((64, 1024), "8u32s")
         sat_run = PAPER_ALGORITHMS["brlt_scanrow"](
-            img, pair="8u32s", sanitize=False, fused=fused, brlt_barrier=False
+            img, pair="8u32s", sanitize=False, brlt_barrier=False
         )
         np.testing.assert_array_equal(sat_run.output, sat_reference(img, "8u32s"))
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["legacy", "fused"])
-    def test_stride_32_staging_flagged(self, fused):
+    def test_stride_32_staging_flagged(self):
         img = make_image((64, 1024), "8u32s")
         with pytest.raises(BankConflictError) as ei:
             PAPER_ALGORITHMS["brlt_scanrow"](
-                img, pair="8u32s", sanitize=True, fused=fused, brlt_stride=32
+                img, pair="8u32s", sanitize=True, brlt_stride=32
             )
         e = ei.value
         assert e.array == "sMemBRLT"
         assert (e.block, e.warp, e.lane) == (0, 0, 0)
         assert "32-way" in str(e)
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["legacy", "fused"])
     @pytest.mark.parametrize("algo", sorted(PAPER_ALGORITHMS))
-    def test_unmutated_kernels_sanitized_at_1024(self, algo, fused):
-        """Acceptance: all three SAT kernels, both paths, clean at 1024^2."""
+    def test_unmutated_kernels_sanitized_at_1024(self, algo):
+        """Acceptance: all three SAT kernels clean at 1024^2."""
         img = make_image((1024, 1024), "32f32f")
-        sat_run = PAPER_ALGORITHMS[algo](
-            img, pair="32f32f", sanitize=True, fused=fused
-        )
+        sat_run = PAPER_ALGORITHMS[algo](img, pair="32f32f", sanitize=True)
         assert_sat_equal(sat_run.output, sat_reference(img, "32f32f"), "32f32f")
         assert all(s.timing.sanitizer.ok for s in sat_run.launches)
 

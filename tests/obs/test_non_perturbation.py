@@ -35,8 +35,7 @@ PAIR = "8u32s"
 #: or the CI profile matrix.  A bare all-None config would NOT pin: unset
 #: fields fall through to the environment layers.
 PINNED_DEFAULT = ExecutionConfig(
-    fused=True, sanitize=False, bounds_check=False,
-    backend="gpusim", device="P100",
+    sanitize=False, bounds_check=False, backend="gpusim", device="P100",
 )
 
 

@@ -1,7 +1,7 @@
 """Planner decision mechanics and the golden decision table.
 
 The golden table pins the planner's full decision (algorithm, opts,
-backend, fused, modeled microseconds, ranking, block) per
+backend, modeled microseconds, ranking, block) per
 (device x pair x bucket) — the model is deterministic, so any drift is a
 real change to either the cost model or the decision procedure and must
 be reviewed, not absorbed.  Regenerate after an intentional change::
@@ -91,9 +91,6 @@ class TestDecide:
         d = planner.decide((256, 256), "8u32s", "P100")
         by_label = dict(d.ranking)
         assert d.modeled_us <= by_label[DEFAULT_ALGORITHM]
-
-    def test_fused_always_recommended(self, planner):
-        assert planner.decide((128, 128), "32f32f", "M40").fused is True
 
     def test_unknown_device_raises_with_zoo(self, planner):
         with pytest.raises(ValueError, match="available devices"):

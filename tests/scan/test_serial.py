@@ -5,7 +5,7 @@ import pytest
 
 from repro.gpusim.block import KernelContext
 from repro.gpusim.device import P100
-from repro.scan.serial import serial_scan_inplace, serial_scan_registers
+from repro.scan.serial import serial_scan_registers
 
 
 @pytest.fixture
@@ -55,12 +55,6 @@ def test_input_registers_not_mutated(ctx):
     regs, vals = make_regs(ctx)
     serial_scan_registers(ctx, regs)
     np.testing.assert_array_equal(regs[1].a[0, 0], vals[1])
-
-
-def test_inplace_variant(ctx):
-    regs, vals = make_regs(ctx, n=8)
-    serial_scan_inplace(ctx, regs)
-    np.testing.assert_array_equal(regs[7].a[0, 0], np.cumsum(vals, axis=0)[7])
 
 
 def test_single_register_is_noop(ctx):

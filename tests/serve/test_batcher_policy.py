@@ -117,10 +117,10 @@ class TestCompatKey:
 
     def test_equivalent_spellings_coalesce(self):
         """Profile vs. explicit field: same resolved modes, same key."""
-        with execution("legacy"):
+        with execution("sanitized"):
             ka = DynamicBatcher.compat_key_of(
                 SatRequest(_img()), resolve_execution())
-        with execution(fused=False):
+        with execution(sanitize=True):
             kb = DynamicBatcher.compat_key_of(
                 SatRequest(_img()), resolve_execution())
         assert ka == kb

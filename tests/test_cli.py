@@ -80,7 +80,7 @@ def test_sat_backend_agrees_across_backends(capsys):
 
 
 def test_sat_mode_flags(capsys):
-    assert main(["sat", "--size", "64", "--no-fused", "--sanitize",
+    assert main(["sat", "--size", "64", "--sanitize",
                  "--bounds-check"]) == 0
     out = capsys.readouterr().out
     assert "total" in out and "checksum" in out
