@@ -134,7 +134,10 @@ class SatService:
         Invalid requests raise synchronously (``ValueError``/``KeyError``);
         submitting to a closed service raises
         :class:`~repro.serve.request.ServeError` (``code="shutdown"``).
+        The request's timeline starts here, so its submit stage includes
+        config resolution.
         """
+        t_submit = time.perf_counter()
         if self._closed:
             raise ServeError("shutdown", "service is closed",
                              request_id=request.request_id)
@@ -146,7 +149,8 @@ class SatService:
         tracer = current_tracer()
         if tracer is None:
             tracer = self.tracer
-        return self.batcher.submit(request, resolved, tracer=tracer)
+        return self.batcher.submit(request, resolved, tracer=tracer,
+                                   t_submit=t_submit)
 
     def _resolve(self, request: ServeRequest) -> ExecutionConfig:
         """Resolve the request's execution modes on the calling thread."""
