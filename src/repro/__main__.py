@@ -387,9 +387,10 @@ def cmd_trace(args) -> int:
     tp = parse_pair(args.pair)
     img = random_matrix((args.size, args.size), tp.input, seed=args.seed)
     tr = Tracer()
+    # The driver: every launch interpreted and traced, whatever plans
+    # the process already holds.
     with tracing(tr):
-        run = sat_api(img, pair=tp, algorithm=args.algorithm,
-                      device=args.device)
+        run = ALGORITHMS[args.algorithm](img, pair=tp, device=args.device)
     if args.out.endswith(".jsonl"):
         write_jsonl(args.out, tr)
     else:
@@ -421,7 +422,8 @@ def cmd_profile(args) -> int:
     totals = {}
     with tracing(tr):
         for algo in algorithms:
-            run = sat_api(img, pair=tp, algorithm=algo, device=args.device)
+            # The driver, so every kernel phase is interpreted and traced.
+            run = ALGORITHMS[algo](img, pair=tp, device=args.device)
             totals[algo] = run.time_us
     rows = pass_breakdown(tr)
     print(format_table(

@@ -14,9 +14,9 @@ operations per kernel pass, bit-identical to the interpreted execution
 emulators, the strip-offset/carry programs, the transposed store);
 :mod:`repro.compile.lower` assembles them into compiled plans from a
 :class:`~repro.exec.registry.KernelSpec` plus the recorded per-pass
-:class:`~repro.gpusim.launch.LaunchStats`.  The ``compiled`` execution
-backend (:mod:`repro.exec.backends`) and every warm bucket of the batch
-engine consume them.
+:class:`~repro.gpusim.launch.LaunchStats`.  Every warm bucket of the
+engine (:mod:`repro.engine`) consumes them, for single ``sat()`` calls
+and batches alike.
 """
 
 from .lower import CompiledPass, CompiledPlan, CompileError, compile_plan

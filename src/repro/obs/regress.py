@@ -207,8 +207,12 @@ def baseline_batch_metrics(entry: Mapping[str, Any]) -> Dict[str, float]:
 
 
 def fresh_simulator_metrics(entry: Mapping[str, Any]) -> Dict[str, float]:
-    """Re-time the simulator wall clock of one BENCH_simulator entry."""
-    from ..sat.api import sat
+    """Re-time the simulator wall clock of one BENCH_simulator entry.
+
+    Times the interpreting driver, as the bench does: ``sat()`` would run
+    a warm bucket's lowered program after the first call.
+    """
+    from ..sat.brlt_scanrow import sat_brlt_scanrow
     from ..workloads import random_matrix
     from ..dtypes import parse_pair
     from ..exec.config import ExecutionConfig, execution
@@ -218,14 +222,14 @@ def fresh_simulator_metrics(entry: Mapping[str, Any]) -> Dict[str, float]:
     tp = parse_pair(pair)
     img = random_matrix((int(size[0]), int(size[1])), tp.input, seed=0)
     best = float("inf")
-    # Pin the plain simulator whatever the ambient profile: the sanitized
-    # profile would time the sanitizer, the compiled one a warm program.
+    # Pin the plain simulator whatever the ambient modes: a sanitized
+    # profile would time the sanitizer, a host backend NumPy.
     with execution(ExecutionConfig(sanitize=False, bounds_check=False,
                                    backend="gpusim")):
         for _ in range(3):
             t0 = time.perf_counter()
-            sat(img, pair=pair, algorithm="brlt_scanrow",
-                device=entry.get("device", "P100"))
+            sat_brlt_scanrow(img, pair=pair,
+                             device=entry.get("device", "P100"))
             best = min(best, time.perf_counter() - t0)
     return {"fused_s": best}
 

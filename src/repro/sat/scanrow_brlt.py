@@ -40,7 +40,7 @@ from .brlt_scanrow import _tile_geometry
 from .common import SatRun
 from .partial_sum import alloc_partial_sum_smem, block_prefix_offsets
 
-__all__ = ["scanrow_brlt_kernel", "scanrow_brlt_pass", "sat_scanrow_brlt", "SPEC"]
+__all__ = ["scanrow_brlt_kernel", "sat_scanrow_brlt", "SPEC"]
 
 
 def scanrow_brlt_kernel(ctx, src: GlobalArray, dst: GlobalArray,
@@ -152,19 +152,6 @@ SPEC = register_kernel_spec(
         ),
     )
 )
-
-
-def scanrow_brlt_pass(src: GlobalArray, *, device, acc, name: str,
-                      scan: str = "kogge_stone",
-                      sanitize: bool = None, bounds_check: bool = None) -> tuple:
-    """Launch one ScanRow-BRLT pass; returns ``(dst, stats)``."""
-    from ..exec.backends import launch_pass
-
-    return launch_pass(
-        SPEC.passes[0], src, acc=acc, device=device, name=name,
-        opts={"scan": scan},
-        sanitize=sanitize, bounds_check=bounds_check,
-    )
 
 
 def sat_scanrow_brlt(image: np.ndarray, pair="32f32f", device=None,

@@ -232,16 +232,23 @@ class TestEquivalentSpellingsBitIdentical:
             0, 256, (64, 96)).astype(np.uint8)
 
     def test_bounds_check_spellings(self, monkeypatch, img):
+        from repro.engine import batch
         from repro.exec import backends
 
+        # A cold call launches; a warm bounds-checked one replays the
+        # recorded launches.  Both must see the check.
         checked = []
-        real = backends.launch_kernel
 
-        def recording(*args, **kwargs):
-            checked.append(kwargs["bounds_check"])
-            return real(*args, **kwargs)
+        def recording(real):
+            def wrapper(*args, **kwargs):
+                checked.append(kwargs["bounds_check"])
+                return real(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(backends, "launch_kernel", recording)
+        monkeypatch.setattr(backends, "launch_kernel",
+                            recording(backends.launch_kernel))
+        monkeypatch.setattr(batch, "replay_kernel",
+                            recording(batch.replay_kernel))
         # An explicit algorithm keeps planner calibrations (autotuned
         # profile) out of the recorded launches.
         kw = dict(pair="8u32s", algorithm="brlt_scanrow")

@@ -19,6 +19,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.exporters import BREAKDOWN_COLUMNS, HOST_PID, MODELED_PID
+from repro.sat.brlt_scanrow import sat_brlt_scanrow
 
 from ..helpers import make_image
 
@@ -29,10 +30,9 @@ def traced_sat():
     tr = Tracer()
     with tracing(tr):
         # The exporter layout assertions are about interpreted launch
-        # spans; pin the backend so a compiled profile cannot replace
-        # them with a warm program execution.
-        run = sat(img, pair="8u32s", algorithm="brlt_scanrow",
-                  backend="gpusim")
+        # spans: the driver interprets whatever plans the default engine
+        # holds, and the pinned backend keeps a host profile out.
+        run = sat_brlt_scanrow(img, pair="8u32s", backend="gpusim")
     return tr, run
 
 
@@ -163,8 +163,7 @@ class TestPassBreakdown:
         warm = {}
         with execution(ExecutionConfig(sanitize=False, bounds_check=False)):
             with tracing(cold_tr):
-                sat(imgs[0], pair="8u32s", algorithm="brlt_scanrow",
-                    backend="gpusim")
+                sat_brlt_scanrow(imgs[0], pair="8u32s", backend="gpusim")
             for backend in ("gpusim", "compiled"):
                 eng = Engine()
                 sat_batch(imgs, pair="8u32s", algorithm="brlt_scanrow",

@@ -9,6 +9,7 @@ import pytest
 from repro import sat, sat_batch
 from repro.engine import Engine
 from repro.obs import MetricsRegistry, get_metrics, reset_metrics
+from repro.sat.brlt_scanrow import sat_brlt_scanrow
 
 from ..helpers import make_image
 
@@ -112,15 +113,27 @@ class TestStackIntegration:
             yield
 
     def test_sat_increments_launch_and_call_counters(self):
+        """An executor run (the driver) counts its launches, one
+        ``sat.calls`` and its modeled time; a warm ``sat()`` runs no
+        executor and counts a one-image engine batch instead."""
         reset_metrics()
         img = make_image((64, 64), "8u32s", seed=3)
-        sat(img, pair="8u32s", algorithm="brlt_scanrow", backend="gpusim")
+        sat_brlt_scanrow(img, pair="8u32s", backend="gpusim")
         m = get_metrics()
         assert m.counter_total("gpusim.launches") == 2.0
         assert m.value("sat.calls", algorithm="brlt_scanrow",
                        backend="gpusim") == 1.0
         h = m.histogram("sat.modeled_us", algorithm="brlt_scanrow")
         assert h.count == 1 and h.total > 0
+
+        sat(img, pair="8u32s", algorithm="brlt_scanrow", backend="gpusim")
+        reset_metrics()
+        sat(img, pair="8u32s", algorithm="brlt_scanrow", backend="gpusim")
+        m = get_metrics()
+        assert m.counter_total("gpusim.launches") == 0
+        assert m.counter_total("sat.calls") == 0
+        assert m.value("engine.images", algorithm="brlt_scanrow") == 1.0
+        assert m.value("engine.plan_hits") == 1.0
 
     def test_batch_increments_engine_and_replay_counters(self):
         reset_metrics()

@@ -23,6 +23,7 @@ import pytest
 from repro import sat
 from repro.exec.config import PROFILES, ExecutionConfig, execution
 from repro.obs import Tracer, to_chrome_trace, tracing, validate_chrome_trace
+from repro.sat.brlt_scanrow import sat_brlt_scanrow
 
 from ..helpers import make_image
 
@@ -131,8 +132,10 @@ class TestGoldenChromeTrace:
     def current(self) -> dict:
         img = make_image(SHAPE, PAIR, seed=0)
         tr = Tracer()
+        # The driver: the golden is the interpreted launch track, which a
+        # warm sat() would replace with its bucket's lowered program.
         with execution(PINNED_DEFAULT), tracing(tr):
-            sat(img, pair=PAIR, algorithm="brlt_scanrow")
+            sat_brlt_scanrow(img, pair=PAIR)
         # include_host=False: only the deterministic modeled track.
         doc = to_chrome_trace(tr, include_host=False)
         return json.loads(json.dumps(doc, sort_keys=True))

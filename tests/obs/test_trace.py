@@ -9,6 +9,7 @@ import repro.obs.trace as trace_mod
 from repro import sat
 from repro.obs import Span, Tracer, current_tracer, env_tracer, resolve_tracer, tracing
 from repro.obs.trace import kernel_phase
+from repro.sat.brlt_scanrow import sat_brlt_scanrow
 
 from ..helpers import make_image
 
@@ -121,9 +122,10 @@ class TestSatIntegration:
     def test_traced_run_emits_expected_categories(self):
         img = make_image((64, 64), "8u32s", seed=1)
         with tracing() as tr:
-            # Interpreted-launch span layout; pin the backend so a compiled
-            # profile cannot substitute compile/execute spans.
-            sat(img, pair="8u32s", algorithm="brlt_scanrow", backend="gpusim")
+            # Interpreted-launch span layout: the driver interprets even
+            # where a warm sat() would run the bucket's lowered program,
+            # and the pinned backend keeps a host profile out.
+            sat_brlt_scanrow(img, pair="8u32s", backend="gpusim")
         cats = {s.category for s in tr.spans}
         assert cats == {"sat", "launch", "kernel.phase"}
         launches = [s for s in tr.spans if s.category == "launch"]

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.exec.config import execution
 from repro.exec.registry import get_sharder, sharder_names
 from repro.sat.api import sat
 from repro.shard import (
@@ -14,6 +15,8 @@ from repro.shard import (
     ShardRun,
     sharded_sat_series,
 )
+
+from ..helpers import count_resolves
 
 
 @pytest.fixture
@@ -64,6 +67,31 @@ class TestTransparentRouting:
         # Not pinned to ``backend``: sanitized compiled calls run, and
         # report, the interpreted gpusim path either way.
         assert sharded.backend == whole.backend
+
+    @pytest.mark.parametrize("backend", ["gpusim", "compiled", "host"])
+    def test_series_reports_the_frames_backend(self, backend):
+        frames = [np.ones((40, 40), dtype=np.uint8)] * 3
+        series = sharded_sat_series(frames, pair="8u32s", backend=backend)
+        whole = sat(frames[0], pair="8u32s", backend=backend, shard=False)
+        assert series.backend == whole.backend
+
+    @pytest.mark.parametrize("algorithm, resolves", [
+        ("brlt_scanrow", {"repro.shard.executor": 1}),
+        (None, {"repro.sat.api": 1, "repro.shard.executor": 1}),
+    ])
+    def test_warm_sharded_call_resolves_no_tile(self, small_threshold,
+                                                monkeypatch, algorithm,
+                                                resolves):
+        """Tiles run under the call's config, resolved once with each
+        tile's device swapped in; sat() resolves only to choose the
+        algorithm."""
+        img = np.ones((150, 200), dtype=np.uint8)
+        with execution(sanitize=False, bounds_check=False):
+            sat(img, pair="8u32s", algorithm=algorithm)  # cold tiles
+            calls = count_resolves(monkeypatch)
+            run = sat(img, pair="8u32s", algorithm=algorithm)
+        assert run.report["n_tiles"] == 12
+        assert dict(calls) == resolves
 
     def test_default_threshold_spares_benchmark_sizes(self):
         w = get_sharder()
