@@ -63,8 +63,7 @@ DEFAULT_ALGORITHM = "brlt_scanrow"
 
 #: Batch depth from which the planner recommends the ``compiled``
 #: backend.  Warm batches run the lowered program on either backend, so
-#: for batches the recommendation changes only the reported backend and
-#: the plan key.
+#: for batches the recommendation changes only the reported backend.
 COMPILED_BATCH_MIN = 4
 
 #: Representative square edges for shape buckets.  A shape maps to the

@@ -1,14 +1,18 @@
 """Batched execution engine: ``sat_batch`` must be observationally
-identical to looped ``sat()`` — same output bits, same CostCounters, same
-modeled KernelTiming per image — while amortising the per-launch fixed
-costs across the batch."""
+identical to looped interpreted solo runs — same output bits, same
+CostCounters, same modeled KernelTiming per image — while amortising the
+per-launch fixed costs across the batch.
+
+A warm ``sat()`` is itself a one-image engine batch, so the solo
+references come from the drivers, or from a fresh engine's cold run
+where the engine chooses the algorithm."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro import sat, sat_batch
+from repro import ALGORITHMS, sat_batch
 from repro.engine import BATCH_SPECS, Engine
 from repro.sat.naive import exclusive_from_inclusive, sat_reference
 
@@ -28,6 +32,12 @@ def make_images(shapes, dtype=np.uint8, seed=0):
     return [rng.integers(0, 256, s).astype(dtype) for s in shapes]
 
 
+def interpreted(im, **kwargs):
+    """A fresh interpreted solo run of ``im``: the cold run of a new
+    engine, which chooses the algorithm exactly as ``sat()`` does."""
+    return Engine().run_batch([im], **kwargs).runs[0]
+
+
 def assert_run_pairs_identical(batch_runs, solo_runs):
     assert len(batch_runs) == len(solo_runs)
     for rb, rs in zip(batch_runs, solo_runs):
@@ -45,7 +55,7 @@ class TestBatchVsSequential:
     def test_repeated_shape_identical(self, alg):
         imgs = make_images([(64, 64)] * 5)
         run = sat_batch(imgs, pair="8u32s", algorithm=alg, engine=Engine())
-        solo = [sat(im, pair="8u32s", algorithm=alg) for im in imgs]
+        solo = [ALGORITHMS[alg](im, pair="8u32s") for im in imgs]
         assert_run_pairs_identical(run.runs, solo)
         assert run.plan_misses == 1 and run.plan_hits == 4
 
@@ -55,7 +65,7 @@ class TestBatchVsSequential:
         dt = np.uint8 if pair == "8u32s" else np.float32
         imgs = make_images(shapes, dtype=dt)
         run = sat_batch(imgs, pair=pair, engine=Engine())
-        solo = [sat(im, pair=pair) for im in imgs]
+        solo = [interpreted(im, pair=pair) for im in imgs]
         assert_run_pairs_identical(run.runs, solo)
 
     def test_warm_engine_replays_identically(self):
@@ -67,13 +77,13 @@ class TestBatchVsSequential:
         second = sat_batch(imgs, pair="8u32s", engine=eng)
         assert second.plan_misses == 0 and second.plan_hits == 4
         assert_run_pairs_identical(second.runs, first.runs)
-        solo = [sat(im, pair="8u32s") for im in imgs]
+        solo = [interpreted(im, pair="8u32s") for im in imgs]
         assert_run_pairs_identical(second.runs, solo)
 
     def test_identical_on_both_execution_paths(self):
         imgs = make_images([(64, 64)] * 3)
         run = sat_batch(imgs, pair="8u32s", engine=Engine())
-        solo = [sat(im, pair="8u32s") for im in imgs]
+        solo = [interpreted(im, pair="8u32s") for im in imgs]
         assert_run_pairs_identical(run.runs, solo)
 
     def test_identical_under_bounds_check(self, monkeypatch):
@@ -82,7 +92,7 @@ class TestBatchVsSequential:
         monkeypatch.setenv("REPRO_GPUSIM_BOUNDS_CHECK", "1")
         imgs = make_images([(64, 64)] * 3)
         run = sat_batch(imgs, pair="8u32s", engine=Engine())
-        solo = [sat(im, pair="8u32s") for im in imgs]
+        solo = [interpreted(im, pair="8u32s") for im in imgs]
         assert_run_pairs_identical(run.runs, solo)
 
 

@@ -1,18 +1,19 @@
-"""Differential testing of the ``compiled`` backend.
+"""Differential testing of the lowered programs against the interpreter.
 
-The compiled backend must be indistinguishable from the interpreter in
-data: cold calls *are* interpreted runs, and warm calls execute the
-lowered program — so outputs must match the ``gpusim`` backend **bit for
-bit**, including float pairs, where the lowered programs reproduce the
-kernels' exact addition association (and integer pairs, where the
-compiler's whole-axis strength reduction relies on modular addition
-being associative).  The pure-NumPy ``host`` backend closes the
-three-way check.
+Engine runs must be indistinguishable from the interpreter in data: cold
+calls *are* interpreted runs, and warm calls execute the lowered
+program — so outputs must match a fresh interpreted run of the
+algorithm's driver **bit for bit**, including float pairs, where the
+lowered programs reproduce the kernels' exact addition association (and
+integer pairs, where the compiler's whole-axis strength reduction relies
+on modular addition being associative).  The pure-NumPy ``host``
+backend closes the three-way check.
 
-Plans live in the default engine's cache, so the first call per shape
-bucket is cold (records + lowers) and later calls are warm compiled
-replays — every Hypothesis example after the first exercises the warm
-path too.
+References always come from the drivers, which interpret on every call
+and never touch a plan cache.  ``sat()`` calls share the default
+engine's cache, so the first call per shape bucket is cold (records +
+lowers) and later calls run the lowered program — every Hypothesis
+example after the first exercises the warm path too.
 """
 
 import os
@@ -22,6 +23,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.engine.batch import Engine
+from repro.gpusim import launch as launch_mod
+from repro.obs import get_metrics
 from repro.sat.api import PAPER_ALGORITHMS, sat
 from repro.scan import WARP_SCANS
 
@@ -32,10 +35,10 @@ from ..helpers import assert_sat_equal, make_image
 def _no_sanitize():
     """Pin the sanitizer off (env beats profile in the resolution order).
 
-    Under the ``sanitized`` execution profile the compiled backend
-    delegates every call to the interpreter by design, so the runs this
-    module asserts on would never be compiled.  Module-scoped so the
-    Hypothesis function-scoped-fixture health check stays quiet.
+    Under the ``sanitized`` execution profile every call runs cold on the
+    interpreter by design, so the runs this module asserts on would
+    never be lowered.  Module-scoped so the Hypothesis
+    function-scoped-fixture health check stays quiet.
     """
     old = os.environ.get("REPRO_GPUSIM_SANITIZE")
     os.environ["REPRO_GPUSIM_SANITIZE"] = "0"
@@ -64,9 +67,10 @@ def _bits(run):
 @example(shape=(31, 65), pair="32f32f")
 @example(shape=(64, 1), pair="64f64f")
 def test_three_way_differential(algo, shape, pair):
-    """compiled (cold and warm) vs gpusim vs host on random shapes."""
+    """compiled (cold and warm) vs the interpreting driver vs host on
+    random shapes."""
     img = make_image(shape, pair, seed=shape[0] * 97 + shape[1])
-    g = sat(img, pair=pair, algorithm=algo)
+    g = PAPER_ALGORITHMS[algo](img, pair=pair)
     cold = sat(img, pair=pair, algorithm=algo, backend="compiled")
     warm = sat(img, pair=pair, algorithm=algo, backend="compiled")
     h = sat(img, pair=pair, algorithm=algo, backend="host")
@@ -87,16 +91,30 @@ def test_three_way_differential(algo, shape, pair):
 
 @pytest.mark.parametrize("scan", sorted(WARP_SCANS))
 @pytest.mark.parametrize("algo", ["scanrow_brlt", "scan_row_column"])
-def test_float_scan_variants_bit_identical(algo, scan):
+def test_float_scan_variants_bit_identical(algo, scan, monkeypatch):
     """Every lowered warp-scan emulator, with -0.0 inputs to exercise the
-    kernels' zero-add flushing, stays bit-identical warm."""
+    kernels' zero-add flushing, stays bit-identical to the interpreter
+    warm — and the warm run is the lowered program, not the interpreter."""
     img = make_image((70, 45), "32f32f", seed=5).copy()
     img.flat[::7] = -0.0
     g = PAPER_ALGORITHMS[algo](img, pair="32f32f", scan=scan)
-    cold = PAPER_ALGORITHMS[algo](img, pair="32f32f", scan=scan,
-                                  backend="compiled")
-    warm = PAPER_ALGORITHMS[algo](img, pair="32f32f", scan=scan,
-                                  backend="compiled")
+    eng = Engine()
+    kw = dict(pair="32f32f", algorithm=algo, scan=scan, backend="compiled")
+    cold = eng.run_batch([img], **kw).runs[0]
+
+    contexts = []
+    real_ctx = launch_mod.KernelContext
+
+    def counting_ctx(*args, **kwargs):
+        contexts.append(kwargs.get("record"))
+        return real_ctx(*args, **kwargs)
+
+    monkeypatch.setattr(launch_mod, "KernelContext", counting_ctx)
+    hits = get_metrics().counter_total("compile.hit")
+    warm = eng.run_batch([img], **kw).runs[0]
+    assert contexts == []
+    assert get_metrics().counter_total("compile.hit") == hits + 1
+    assert warm.backend == "compiled"
     assert _bits(cold) == _bits(g)
     assert _bits(warm) == _bits(g)
 
@@ -105,12 +123,12 @@ def test_float_scan_variants_bit_identical(algo, scan):
 @pytest.mark.parametrize("algo", ALGOS)
 def test_batch_compiled_bit_identical(algo, pair, monkeypatch):
     """Batches on either backend (warm images run the lowered program)
-    match interpreted solo ``sat()`` calls per image, bit for bit, with
+    match interpreted solo driver runs per image, bit for bit, with
     identical modeled times."""
     monkeypatch.setenv("REPRO_GPUSIM_SANITIZE", "0")
     imgs = [make_image((50 + i % 3, 40 + i % 2), pair, seed=i)
             for i in range(6)]
-    ref = [sat(im, algorithm=algo, pair=pair, backend="gpusim")
+    ref = [PAPER_ALGORITHMS[algo](im, pair=pair, backend="gpusim")
            for im in imgs]
     for backend in ("gpusim", "compiled"):
         got = Engine().run_batch(imgs, algorithm=algo, pair=pair,
