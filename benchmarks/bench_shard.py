@@ -134,13 +134,14 @@ def run_full(big: int, big_tile: int, devices: str, frames: int) -> int:
     print(f"regress 2048^2: tiles/s={sm.report['tiles_per_s']:.0f} "
           f"overlap={sm.report['overlap_fraction']:.1%}")
 
-    # Gigapixel headline on the compiled backend: the first tile records
+    # Gigapixel headline on the gpusim backend: the first tile records
     # its plan, the rest run the lowered program.  The tracemalloc peak is
     # informational (regress reads only the top-level metrics).
     img = rng.integers(0, 255, size=(big, big)).astype(np.uint8)
     tracemalloc.start()
     try:
-        run = _sharded(img, (big_tile, big_tile), devices, config="compiled")
+        run = _sharded(img, (big_tile, big_tile), devices,
+                       config={"backend": "gpusim"})
         peak_alloc_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()

@@ -18,12 +18,12 @@ as one.  The engine removes both costs:
   that axis are fully independent in all three paper kernels (carries
   run along the other axis), so the per-image results are bit-identical
   to solo runs while the per-launch host overhead is paid once per chunk.
-* **One warm path**: once a bucket is recorded, its warm chunks run the
-  plan's lowered program (:mod:`repro.compile`) whichever of ``gpusim``
-  or ``compiled`` was requested; only buckets without a program
-  (bounds-checked, lowering refused, program failed) replay each image
-  through the interpreter.  Host and sanitized calls run each image on
-  the spec's backend, baselines through their own driver.
+* **One warm path**: once a ``gpusim`` bucket is recorded, its warm
+  chunks run the plan's lowered program (:mod:`repro.compile`); only
+  buckets without a program (bounds-checked, lowering refused, program
+  failed) replay each image through the interpreter.  Host and
+  sanitized calls run each image on the spec's backend, baselines
+  through their own driver.
 
 Per-image stats are clones of the recorded cold launch — bit-identical to
 what looped ``sat()`` calls would report.  The *aggregate* modeled time is
@@ -219,6 +219,22 @@ def _stacked_time_s(stats, depth: int) -> float:
     ).total
 
 
+def check_baseline_backend(algorithm: str, config=None,
+                           backend: Optional[str] = None) -> None:
+    """Reject a non-``gpusim`` backend requested for a spec-less baseline.
+
+    Baselines run their own (CPU) path.  A backend requested at the call
+    site (``backend=`` or the per-call ``config``) that is not ``gpusim``
+    is an error; a floating one (env, profile, context) is ignored.
+    """
+    req = requested_backend(config, backend)
+    if req not in (None, "gpusim"):
+        raise ValueError(
+            f"algorithm {algorithm!r} has no kernel spec and supports "
+            f"only the 'gpusim' backend, not {req!r}"
+        )
+
+
 def ensure_compiled(plan: SatPlan, spec, tp: TypePair,
                     opts: Optional[Mapping] = None) -> bool:
     """Lower ``plan`` into its compiled program if not already done.
@@ -306,23 +322,10 @@ class Engine:
             from ..plan.planner import DEFAULT_ALGORITHM, get_planner
 
             if algorithm == "auto" or res.autotune:
-
                 decision = get_planner().decide(
-                    imgs[0].shape, tp.name, res.device,
-                    batch_size=len(imgs),
-                )
+                    imgs[0].shape, tp.name, res.device)
                 algorithm = decision.algorithm
                 opts = {**decision.opts_dict(), **opts}
-                # The planner may recommend the compiled backend for deep
-                # batches (which changes only the runs' label: warm
-                # buckets run their lowered program either way).
-                # Apply it only when the caller left the backend floating
-                # on the simulator — an explicit backend request, in any
-                # spelling, always wins.
-                if (decision.backend != res.backend
-                        and res.backend == "gpusim"
-                        and requested_backend(config, backend) is None):
-                    res = res.with_fields(backend=decision.backend)
             else:
                 algorithm = DEFAULT_ALGORITHM
         try:
@@ -346,15 +349,7 @@ class Engine:
                                     sanitize=res.sanitize,
                                     bounds_check=res.bounds_check)
         else:
-            # Spec-less baselines run their own (CPU) path: an explicitly
-            # requested backend is an error, a floating one (env/profile/
-            # context preference) is quietly ignored.
-            req = requested_backend(config, backend)
-            if req not in (None, "gpusim"):
-                raise ValueError(
-                    f"algorithm {algorithm!r} has no kernel spec and supports "
-                    f"only the 'gpusim' backend, not {req!r}"
-                )
+            check_baseline_backend(algorithm, config, backend)
             call_opts = dict(opts)
             if sanitize is not None:
                 call_opts["sanitize"] = sanitize
@@ -362,11 +357,11 @@ class Engine:
             def run_one(im):
                 return fn(im, pair=tp, device=dev, **call_opts)
 
-        # gpusim and compiled batches run warm buckets through their plan's
-        # lowered program.  Everything else (host, baselines, sanitized
-        # runs) loops per image — the sanitizer is the trusted slow mode
-        # and never runs over compiled code.
-        batchable = res.backend in ("gpusim", "compiled")
+        # gpusim batches run warm buckets through their plan's lowered
+        # program.  Everything else (host, baselines, sanitized runs) loops
+        # per image — the sanitizer is the trusted slow mode and never runs
+        # over compiled code.
+        batchable = res.backend == "gpusim"
 
         spec_method = BATCH_SPECS.get(algorithm)
         tracer = current_tracer()
@@ -509,8 +504,7 @@ class Engine:
 
         # Key plans on the *resolved* modes, so equivalent spellings (env
         # var vs. config object vs. kwarg) share plans, while bounds-checked
-        # variants stay distinct.  gpusim and compiled share them: the
-        # backend name changes only the runs' label.
+        # variants stay distinct.
         key_opts = dict(opts, bounds_check=res.bounds_check)
 
         for grp in groups:
@@ -560,7 +554,6 @@ class Engine:
             run0 = run_one(imgs[i0])
             for lp, s in zip(plan.launch_plans, run0.launches):
                 lp.record(replace(s, counters=s.counters.copy()))
-            run0.backend = res.backend
             runs[i0] = run0
             misses += 1
             self.cache.note_miss()
@@ -618,11 +611,7 @@ class Engine:
             chunk_imgs = [imgs[i] for i in chunk]
             out3 = self._run_program(plan, spec, tp, algorithm, chunk_imgs,
                                      res)
-            # Warm runs report the requested backend, except that a
-            # compiled request the interpreter served reports gpusim.
-            label = res.backend
             if out3 is None:
-                label = "gpusim"
                 out3 = self._replay_images(
                     plan, spec, tp,
                     self._stage(plan, "input", chunk_imgs, tp,
@@ -644,7 +633,6 @@ class Engine:
                 algorithm=algorithm,
                 device=dev.name,
                 pair=tp.name,
-                backend=label,
             )
         return t_stacked
 
@@ -767,11 +755,10 @@ def sat_batch(
         execution knobs (``sanitize=``, ``bounds_check=``, ``backend=``,
         ``config=``, ``autotune=``).  ``algorithm="auto"``
         (or leaving it unset with autotuning enabled) asks the
-        :class:`~repro.plan.Planner` for the batch-aware choice — at
-        batch depth >= 4 that includes relabelling a floating ``gpusim``
-        backend as ``compiled``.  Warm buckets run their lowered program
-        on either backend; ``bounds_check=True`` replays them per image
-        through the interpreter instead.  ``sanitize=True`` runs the
+        :class:`~repro.plan.Planner` for the first image's shape.  Warm
+        ``gpusim`` buckets run their lowered program;
+        ``bounds_check=True`` replays them per image through the
+        interpreter instead.  ``sanitize=True`` runs the
         batch fully instrumented (per-image cold launches, no plan
         reuse); ``backend="host"`` computes every image on the
         pure-NumPy executor (no launches, no modeled time).

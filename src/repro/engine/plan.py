@@ -7,10 +7,9 @@ them depend on the pixel values.  A :class:`SatPlan` memoises all of that
 for one ``(shape-bucket, pair, algorithm, device, opts)`` key —
 recorded once from a cold run, then lowered into the plan's
 :class:`~repro.compile.lower.CompiledPlan`, which every further image in
-the bucket executes with zero interpreter steps, on ``gpusim`` and
-``compiled`` alike.  Buckets without a program (bounds-checked, lowering
-refused, program failed) replay each image through
-:func:`~repro.gpusim.launch.replay_kernel` instead.
+the bucket executes with zero interpreter steps.  Buckets without a
+program (bounds-checked, lowering refused, program failed) replay each
+image through :func:`~repro.gpusim.launch.replay_kernel` instead.
 
 The plan also owns the reusable padded staging buffers the batch path
 stacks images into, so steady-state batches allocate nothing per image.
@@ -45,9 +44,7 @@ class PlanKey:
     ``bucket`` is the *padded* image shape — images whose raw shapes pad to
     the same multiple share every counter and timing, so they share a plan.
     ``opts`` is the canonicalised (sorted) tuple of algorithm options that
-    reach the kernels.  Only ``gpusim`` and ``compiled`` calls record
-    plans, and they share them: the backend name changes only the runs'
-    label.
+    reach the kernels.  Only ``gpusim`` calls record plans.
     """
 
     algorithm: str

@@ -4,7 +4,7 @@ The package's execution layer: :class:`ExecutionConfig` is the single
 resolution path for every mode knob (sanitizer, bounds checking, backend,
 device, autotuning), and the kernel/backend registry maps each SAT
 algorithm's one :class:`KernelSpec` onto interchangeable executors
-(``gpusim``, ``host``, ``compiled``).  See ``docs/architecture.md``.
+(``gpusim``, ``host``).  See ``docs/architecture.md``.
 
 This ``__init__`` intentionally imports only the cycle-free submodules
 (:mod:`.config`, :mod:`.registry`); the built-in backends of

@@ -8,8 +8,6 @@ backend supplies only the execution substrate:
   sanitizer); the default and the recorder every other mode trusts.
 * ``host`` — pure NumPy per-pass ``host`` semantics; no launches, no
   modeled time.
-* ``compiled`` — names the ``gpusim`` executor.  It differs only in the
-  engine, which labels its runs ``compiled``.
 
 A backend runs a whole call every time; the warm path (recorded plans,
 lowered programs) belongs to :mod:`repro.engine`, which ``sat()`` and
@@ -177,10 +175,5 @@ class HostBackend:
         )
 
 
-_GPUSIM = GpusimBackend()
-
-register_backend("gpusim", _GPUSIM)
+register_backend("gpusim", GpusimBackend())
 register_backend("host", HostBackend())
-# A cold compiled run is a gpusim run; the engine labels its runs
-# "compiled".
-register_backend("compiled", _GPUSIM)

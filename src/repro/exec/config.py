@@ -94,10 +94,10 @@ class ExecutionConfig:
     sanitize: Optional[bool] = None
     #: Global-memory bounds checking debug mode.
     bounds_check: Optional[bool] = None
-    #: Execution backend name from the :mod:`repro.exec.registry`
-    #: (``"gpusim"`` — the simulator —, ``"host"`` — pure NumPy pass
-    #: semantics —, or ``"compiled"`` — the simulator, with runs
-    #: labelled compiled).
+    #: Execution backend name from the :mod:`repro.exec.registry`:
+    #: ``"gpusim"``, the simulator, or ``"host"``, pure NumPy pass
+    #: semantics.  ``"compiled"`` is accepted as an alias and stored as
+    #: ``"gpusim"``.
     backend: Optional[str] = None
     #: Default simulated device name (any :data:`repro.gpusim.device.
     #: DEVICES` entry — ``"P100"``, ``"V100"``, ``"A100"``...).
@@ -106,6 +106,10 @@ class ExecutionConfig:
     #: :class:`~repro.plan.Planner` (``algorithm="auto"``).  Off by
     #: default; the ``autotuned`` profile turns it on.
     autotune: Optional[bool] = None
+
+    def __post_init__(self):
+        if self.backend == "compiled":
+            object.__setattr__(self, "backend", "gpusim")
 
     def with_fields(self, **changes) -> "ExecutionConfig":
         """A copy with ``changes`` applied (``None`` clears a field)."""
@@ -147,7 +151,7 @@ class ExecutionConfig:
             )
         # ``autotune`` is deliberately excluded: it selects *which*
         # concrete configuration runs, and callers fold the planner's
-        # decision (algorithm, backend, opts) into the key before
+        # decision (algorithm, opts) into the key before
         # coalescing — so an autotuned request batches with an explicit
         # request that spells the same decision by hand.
         return tuple(sorted(
@@ -162,7 +166,6 @@ class ExecutionConfig:
 PROFILES: Dict[str, ExecutionConfig] = {
     "default": ExecutionConfig(),
     "sanitized": ExecutionConfig(sanitize=True),
-    "compiled": ExecutionConfig(backend="compiled"),
     "autotuned": ExecutionConfig(autotune=True),
 }
 
@@ -281,14 +284,11 @@ def requested_backend(config: ConfigLike = None,
     explicit; contexts, the installed default, environment variables and
     profiles are floating preferences.  Callers that cannot honour a
     backend (spec-less baseline algorithms) reject explicit requests but
-    quietly ignore floating ones — a profile like ``compiled`` must not
-    make the CPU baselines unusable.
+    quietly ignore floating ones — an ambient ``host`` backend must not
+    make the CPU baselines unusable.  Like every spelling, ``compiled``
+    comes back as ``gpusim``.
     """
-    if backend is not None:
-        return backend
-    if config is not None:
-        return _coerce(config).backend
-    return None
+    return _coerce(config, {"backend": backend}).backend
 
 
 def resolve_execution(config: ConfigLike = None, **overrides) -> ExecutionConfig:

@@ -9,7 +9,7 @@ The three paper kernels register their specs at import time
 instead of hard-coding geometry per call site.
 
 A *backend* says how a cold run of a :class:`KernelSpec` executes.
-Three names ship with the package (:mod:`repro.exec.backends`):
+Two ship with the package (:mod:`repro.exec.backends`):
 
 * ``gpusim`` — the warp-synchronous simulator (counters, cost model,
   sanitizer); the default.
@@ -18,12 +18,10 @@ Three names ship with the package (:mod:`repro.exec.backends`):
   — it exists to cross-check kernel semantics and to prove the registry
   decouples the algorithm description from the executor (the shape a
   real-GPU backend would also plug into).
-* ``compiled`` — names the ``gpusim`` executor; the engine labels its
-  runs ``compiled``.
 
 Warm runs are not a backend's business: :mod:`repro.engine` records a
-plan from a bucket's cold run and runs its lowered program after that,
-for ``gpusim`` and ``compiled`` alike.
+plan from a ``gpusim`` bucket's cold run and runs its lowered program
+after that.
 
 This module imports nothing from the rest of the package (built-in
 backends are registered lazily on first lookup), so any layer can import

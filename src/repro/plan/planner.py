@@ -1,6 +1,6 @@
 """The Planner: analytic-model-driven configuration decisions.
 
-Decision procedure, per ``(device, pair, shape bucket, batch bucket)``:
+Decision procedure, per ``(device, pair, shape bucket)``:
 
 1. enumerate the candidate configurations (the paper's three kernels,
    with the two competitive warp-scan variants for the scan-based ones);
@@ -13,15 +13,12 @@ Decision procedure, per ``(device, pair, shape bucket, batch bucket)``:
 3. project the recorded counters to the bucket's representative size
    with :func:`~repro.gpusim.cost.projection.project_stats` and rank by
    modeled time;
-4. pick the argmin; derive the companion knobs (backend for the batch
-   depth, shard tile) from the model's structure.
+4. pick the argmin; derive the shard tile from the model's structure.
 
-The backend is a knob the model *cannot* rank, so it is decided from
-the model's structure instead of its numbers: the ``compiled`` backend
-replays the recorded plan with identical modeled counters/timings; its
-value is warm wall speed.  The planner recommends it once a batch is
-deep enough to amortise the cold compile (``COMPILED_BATCH_MIN``), and
-never overrides an explicitly requested backend.
+The planner decides only what the model can rank.  Neither the backend
+nor the batch depth is part of a decision: a warm bucket runs the same
+lowered program, with the same modeled counters and timings, at any
+depth.
 
 Decisions are cached in a thread-safe :class:`~repro.engine.lru.
 LRUCache` (``plan.cache.*`` metrics) and are deterministic: same key,
@@ -60,11 +57,6 @@ __all__ = [
 #: always contains it, so an autotuned decision is never modeled slower
 #: than the default.
 DEFAULT_ALGORITHM = "brlt_scanrow"
-
-#: Batch depth from which the planner recommends the ``compiled``
-#: backend.  Warm batches run the lowered program on either backend, so
-#: for batches the recommendation changes only the reported backend.
-COMPILED_BATCH_MIN = 4
 
 #: Representative square edges for shape buckets.  A shape maps to the
 #: nearest power-of-two edge, clamped into this range — close enough for
@@ -128,11 +120,9 @@ class PlanDecision:
     device: str
     pair: str
     bucket: Tuple[int, int]
-    batch_bucket: int
     #: The chosen configuration.
     algorithm: str
     opts: Tuple[Tuple[str, str], ...]
-    backend: str
     #: Modeled time of the winner at the bucket's representative size.
     modeled_us: float
     #: Every candidate's ``(label, modeled_us)``, fastest first.
@@ -158,10 +148,8 @@ class PlanDecision:
             "device": self.device,
             "pair": self.pair,
             "bucket": list(self.bucket),
-            "batch_bucket": self.batch_bucket,
             "algorithm": self.algorithm,
             "opts": dict(self.opts),
-            "backend": self.backend,
             "modeled_us": round(self.modeled_us, 3),
             "ranking": [[label, round(us, 3)] for label, us in self.ranking],
             "block": list(self.block),
@@ -270,15 +258,10 @@ class Planner:
             return self._runner.measure(
                 algorithm, pair, device, size, **opts).time_us
 
-    @staticmethod
-    def batch_bucket(batch_size: int) -> int:
-        """Quantised batch depth: decisions only depend on this."""
-        return COMPILED_BATCH_MIN if batch_size >= COMPILED_BATCH_MIN else 1
-
     # -- deciding --------------------------------------------------------
-    def decide(self, shape: Tuple[int, int], pair, device=None,
-               batch_size: int = 1) -> PlanDecision:
-        """The decision for one ``(shape, pair, device, batch size)``.
+    def decide(self, shape: Tuple[int, int], pair,
+               device=None) -> PlanDecision:
+        """The decision for one ``(shape, pair, device)``.
 
         ``device=None`` resolves through the standard execution layers.
         """
@@ -291,10 +274,9 @@ class Planner:
             device = resolve_execution().device
         dev = get_device(device)
         bucket = bucket_of(shape)
-        bb = self.batch_bucket(batch_size)
-        key = (dev.name, tp.name, bucket, bb)
+        key = (dev.name, tp.name, bucket)
         decision, created = self._cache.get_or_create(
-            key, lambda: self._compute(dev.name, tp.name, bucket, bb))
+            key, lambda: self._compute(dev.name, tp.name, bucket))
         if created:
             get_metrics().counter("plan.decisions").inc()
         # Serving-timeline attribution (no-op outside a serve request):
@@ -303,29 +285,28 @@ class Planner:
         timeline_add("plan_decide_us", (_time.perf_counter() - t0) * 1e6)
         return decision
 
-    def _compute(self, device: str, pair: str, bucket: Tuple[int, int],
-                 batch_bucket: int) -> PlanDecision:
+    def _compute(self, device: str, pair: str,
+                 bucket: Tuple[int, int]) -> PlanDecision:
         tracer = current_tracer()
         if tracer is None:
-            return self._rank(device, pair, bucket, batch_bucket)
+            return self._rank(device, pair, bucket)
         with tracer.span("plan.decide", category="plan", device=device,
-                         pair=pair, bucket=bucket,
-                         batch_bucket=batch_bucket):
-            decision = self._rank(device, pair, bucket, batch_bucket)
+                         pair=pair, bucket=bucket):
+            decision = self._rank(device, pair, bucket)
             runner_up = decision.runner_up
             tracer.event(
                 "plan.decision", category="plan",
                 device=device, pair=pair, bucket=bucket,
                 algorithm=decision.algorithm, opts=dict(decision.opts),
-                backend=decision.backend, block=decision.block,
+                block=decision.block,
                 modeled_us=round(decision.modeled_us, 3),
                 runner_up=runner_up[0] if runner_up else None,
                 runner_up_us=round(runner_up[1], 3) if runner_up else None,
             )
         return decision
 
-    def _rank(self, device: str, pair: str, bucket: Tuple[int, int],
-              batch_bucket: int) -> PlanDecision:
+    def _rank(self, device: str, pair: str,
+              bucket: Tuple[int, int]) -> PlanDecision:
         timed: List[Tuple[float, int, Candidate, tuple]] = []
         with self._runner_lock:
             for i, cand in enumerate(CANDIDATES):
@@ -349,10 +330,7 @@ class Planner:
         best_us, _, best, block = timed[0]
         return PlanDecision(
             device=device, pair=pair, bucket=bucket,
-            batch_bucket=batch_bucket,
             algorithm=best.algorithm, opts=best.opts,
-            backend=("compiled" if batch_bucket >= COMPILED_BATCH_MIN
-                     else "gpusim"),
             modeled_us=best_us,
             ranking=tuple((c.label, us) for us, _, c, _ in timed),
             block=(int(block[0]), int(block[1])) if block else (0, 0),

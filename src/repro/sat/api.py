@@ -152,11 +152,11 @@ def sat(
         instead of the inclusive one.  The conversion is the host-side
         shift the paper calls "easy" (Sec. III-A).
     backend:
-        Execution backend name: ``"gpusim"``, the simulator;
-        ``"compiled"``, the same executor with runs labelled
-        ``compiled``; or ``"host"``, the pure-NumPy executor whose runs
-        have no launches and ``time_us is None``.  Only the paper's
-        spec'd algorithms support non-simulator backends.
+        Execution backend name: ``"gpusim"``, the simulator, or
+        ``"host"``, the pure-NumPy executor whose runs have no launches
+        and ``time_us is None``.  ``"compiled"`` is an alias of
+        ``"gpusim"``.  Only the paper's spec'd algorithms support the
+        host backend.
     config:
         A per-call :class:`~repro.exec.ExecutionConfig` (or mapping /
         profile name) sitting between explicit keywords and the ambient
@@ -237,7 +237,7 @@ def sat(
                     from ..plan import get_planner
 
                     decision = get_planner().decide(
-                        image.shape, tp.name, res.device, batch_size=1)
+                        image.shape, tp.name, res.device)
                     algorithm = decision.algorithm
                     opts = {**decision.opts_dict(), **opts}
                 else:

@@ -55,6 +55,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..engine.batch import check_baseline_backend
 from ..engine.scheduler import BatchScheduler
 from ..exec.config import ExecutionConfig
 from ..exec.registry import get_kernel_spec, has_kernel_spec
@@ -215,7 +216,9 @@ class DynamicBatcher:
         ``resolved`` must be fully resolved (the service resolves on the
         submitting thread).  Spec-less baseline algorithms bucket at their
         raw shape — they never stack, so each shape is its own "batch of
-        solo runs".
+        solo runs" — and key on the ``gpusim`` backend: like ``sat()``,
+        they reject a non-``gpusim`` backend only when the request's own
+        ``config`` asks for it, and ignore an ambient one.
 
         ``algorithm="auto"`` (or ``None`` under ``resolved.autotune``) is
         folded here: the :class:`~repro.plan.Planner` decision replaces
@@ -256,13 +259,15 @@ class DynamicBatcher:
             from ..plan import get_planner
 
             decision = get_planner().decide(img.shape, tp.name,
-                                            resolved.device, batch_size=1)
+                                            resolved.device)
             algorithm = decision.algorithm
             opts = {**decision.opts_dict(), **opts}
         if has_kernel_spec(algorithm):
             pad = get_kernel_spec(algorithm).pad
             bucket = BatchScheduler.bucket_of(img.shape, pad)
         else:
+            check_baseline_backend(algorithm, request.config)
+            resolved = resolved.with_fields(backend="gpusim")
             bucket = (int(img.shape[0]), int(img.shape[1]))
         return CompatKey(
             algorithm=algorithm,

@@ -5,8 +5,9 @@ batched and sequential modeled times, plan hits and misses, effective
 GB/s, per-image ``time_us`` — is a pure function of launch geometry, so
 it is pinned here exactly, for every way a warm bucket can execute: the
 three paper kernels x {``8u32s``, ``32f32f``} x batch depths {1, 3, 8}
-on a ragged 70x45 shape, run on ``gpusim``, on ``compiled`` and on
-``gpusim`` with bounds checks.  Each case records the first call on a
+on a ragged 70x45 shape, run on ``gpusim``, on ``compiled`` (an alias
+that resolves to ``gpusim``, so its cases equal the ``gpusim`` ones) and
+on ``gpusim`` with bounds checks.  Each case records the first call on a
 fresh engine (one cold image, the rest warm) and a second, fully warm
 call.  To regenerate after an intentional model change::
 

@@ -1,6 +1,6 @@
-"""Compiled-backend lifecycle: cold record → warm replay → fallback.
+"""Compiled-program lifecycle: cold record → warm replay → fallback.
 
-Covers the plan-state machine a ``compiled`` call drives through the
+Covers the plan-state machine a ``gpusim`` call drives through the
 default engine's plan cache, for single ``sat()`` calls (one-image
 batches) and batches alike: a cold call records and lowers, warm calls
 execute the compiled program, lowering refusals pin the bucket to the
@@ -40,16 +40,16 @@ class TestLifecycle:
     def test_cold_records_and_lowers_then_warm_replays(self):
         img = make_image((64, 48), "8u32s", seed=1)
         m = get_metrics()
-        cold = sat(img, pair="8u32s", backend="compiled")
-        assert cold.backend == "compiled"
+        cold = sat(img, pair="8u32s", backend="gpusim")
+        assert cold.backend == "gpusim"
         assert m.counter_total("compile.miss") == 1
         assert m.counter_total("compile.hit") == 0
         (plan,) = _plans(default_engine().cache)
         assert plan.recorded and plan.compiled is not None
         assert plan.compiled.executions == 0
 
-        warm = sat(img, pair="8u32s", backend="compiled")
-        assert warm.backend == "compiled"
+        warm = sat(img, pair="8u32s", backend="gpusim")
+        assert warm.backend == "gpusim"
         assert plan.compiled.executions == 1
         assert m.counter_total("compile.hit") == 1
         assert warm.output.tobytes() == cold.output.tobytes()
@@ -65,9 +65,9 @@ class TestLifecycle:
     ])
     def test_sat_and_sat_batch_share_one_plan(self, single_backend,
                                               batch_backend):
-        """A single call is a one-image batch, and the backend name
-        changes only the runs' label: both calls record, lower and reuse
-        one plan for their bucket."""
+        """A single call is a one-image batch, and ``compiled`` is an
+        alias of ``gpusim``: both calls record, lower and reuse one plan
+        for their bucket, and both report ``gpusim``."""
         img = make_image((64, 64), "8u32s", seed=6)
         m = get_metrics()
         single = sat(img, pair="8u32s", algorithm="brlt_scanrow",
@@ -77,8 +77,7 @@ class TestLifecycle:
         assert len(default_engine().cache.keys()) == 1
         assert m.counter_total("compile.miss") == 1
         assert batch.plan_hits == 1 and batch.plan_misses == 0
-        assert (single.backend, batch.runs[0].backend) == (single_backend,
-                                                           batch_backend)
+        assert single.backend == batch.runs[0].backend == "gpusim"
         assert batch.runs[0].output.tobytes() == single.output.tobytes()
 
     @pytest.mark.parametrize("pair", ["8u32s", "8u32f", "8u64f", "32f32f",
@@ -88,8 +87,8 @@ class TestLifecycle:
         """Serial passes have a body for each physical axis, so layout
         propagation never materialises a transpose, whatever the pair."""
         img = make_image((64, 96), pair, seed=2)
-        cold = sat(img, pair=pair, algorithm=algorithm, backend="compiled")
-        warm = sat(img, pair=pair, algorithm=algorithm, backend="compiled")
+        cold = sat(img, pair=pair, algorithm=algorithm, backend="gpusim")
+        warm = sat(img, pair=pair, algorithm=algorithm, backend="gpusim")
         (plan,) = _plans(default_engine().cache)
         assert plan.compiled.executions == 1
         assert plan.compiled.transposes == 0
@@ -98,7 +97,7 @@ class TestLifecycle:
     def test_execute_failure_falls_back_and_recompiles(self):
         img = make_image((40, 40), "8u32s", seed=3)
         ref = sat_brlt_scanrow(img, pair="8u32s")
-        sat(img, pair="8u32s", backend="compiled")
+        sat(img, pair="8u32s", backend="gpusim")
         (plan,) = _plans(default_engine().cache)
 
         def boom(stack):
@@ -107,14 +106,14 @@ class TestLifecycle:
         for p in plan.compiled.passes:
             p.rows = p.cols = boom
         m = get_metrics()
-        out = sat(img, pair="8u32s", backend="compiled")
+        out = sat(img, pair="8u32s", backend="gpusim")
         assert out.output.tobytes() == ref.output.tobytes()
         assert m.counter_total("compile.fallback") == 1
         assert plan.compiled is None  # program dropped, plan kept
 
         # The recorded plan is intact: the next call recompiles and runs
         # the fresh program.
-        again = sat(img, pair="8u32s", backend="compiled")
+        again = sat(img, pair="8u32s", backend="gpusim")
         assert plan.compiled is not None
         assert m.counter_total("compile.miss") == 2
         assert again.output.tobytes() == ref.output.tobytes()
@@ -127,7 +126,7 @@ class TestLifecycle:
         ref = sat_scanrow_brlt(img, pair="32f32f", scan="brent_kung")
         m = get_metrics()
         cold = sat(img, pair="32f32f", algorithm="scanrow_brlt",
-                   scan="brent_kung", backend="compiled")
+                   scan="brent_kung", backend="gpusim")
         assert m.counter_total("compile.fallback") == 1
         (plan,) = _plans(default_engine().cache)
         assert plan.compiled is None
@@ -135,7 +134,7 @@ class TestLifecycle:
 
         # Warm calls stay interpreted without re-attempting the lowering.
         warm = sat(img, pair="32f32f", algorithm="scanrow_brlt",
-                   scan="brent_kung", backend="compiled")
+                   scan="brent_kung", backend="gpusim")
         assert m.counter_total("compile.fallback") == 1
         assert warm.backend == "gpusim"
         for r in (cold, warm):
@@ -143,7 +142,7 @@ class TestLifecycle:
 
     def test_sanitize_delegates_to_interpreter(self):
         img = make_image((33, 31), "8u32s", seed=5)
-        run = sat(img, pair="8u32s", backend="compiled", sanitize=True)
+        run = sat(img, pair="8u32s", backend="gpusim", sanitize=True)
         assert run.backend == "gpusim"
         assert all(s.timing.sanitizer is not None for s in run.launches)
         assert _plans(default_engine().cache) == []
@@ -154,7 +153,7 @@ class TestBatchLifecycle:
         imgs = [make_image((64, 64), "8u32s", seed=i) for i in range(4)]
         ref = Engine().run_batch(imgs, pair="8u32s")
         eng = Engine()
-        eng.run_batch(imgs, pair="8u32s", backend="compiled")
+        eng.run_batch(imgs, pair="8u32s", backend="gpusim")
         (plan,) = _plans(eng.cache)
 
         def boom(stack):
@@ -163,14 +162,14 @@ class TestBatchLifecycle:
         for p in plan.compiled.passes:
             p.rows = p.cols = boom
         m = get_metrics()
-        got = eng.run_batch(imgs, pair="8u32s", backend="compiled")
+        got = eng.run_batch(imgs, pair="8u32s", backend="gpusim")
         assert m.counter_total("compile.fallback") >= 1
         assert plan.compiled is None
         for r, c in zip(ref.runs, got.runs):
             assert r.output.tobytes() == c.output.tobytes()
 
         # Recompiled on the next batch; warm images execute compiled.
-        again = eng.run_batch(imgs, pair="8u32s", backend="compiled")
+        again = eng.run_batch(imgs, pair="8u32s", backend="gpusim")
         assert plan.compiled is not None and plan.compiled.executions > 0
         for r, c in zip(ref.runs, again.runs):
             assert r.output.tobytes() == c.output.tobytes()
@@ -179,7 +178,7 @@ class TestBatchLifecycle:
         imgs = [make_image((64, 64), "8u32s", seed=i) for i in range(5)]
         eng = Engine()
         m = get_metrics()
-        eng.run_batch(imgs, pair="8u32s", backend="compiled")
+        eng.run_batch(imgs, pair="8u32s", backend="gpusim")
         # One cold image records; the other four execute compiled.
         assert m.counter_total("compile.miss") == 1
         assert m.counter_total("compile.hit") == 4

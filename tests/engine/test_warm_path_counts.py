@@ -1,7 +1,7 @@
 """Warm-path guard: exact counts of interpreter work per warm batch.
 
 A warm bucket with a lowered program must not touch the interpreter at
-all, whichever backend was requested; a bounds-checked warm bucket has
+all; a bounds-checked warm bucket has
 no program and replays each image pass by pass at the recorded grid.
 Both are counted exactly — ``KernelContext`` constructions and
 ``replay_kernel`` calls — so the guard cannot flake on wall time.  The
@@ -49,30 +49,29 @@ def counts(monkeypatch):
     return n
 
 
-def _warm_batch(counts, algorithm, backend, bounds_check):
+def _warm_batch(counts, algorithm, bounds_check):
     imgs = [make_image(SHAPE, PAIR, seed=i) for i in range(DEPTH)]
     eng = Engine()
-    with execution(ExecutionConfig(sanitize=False, bounds_check=bounds_check)):
-        eng.run_batch(imgs, pair=PAIR, algorithm=algorithm, backend=backend)
+    with execution(ExecutionConfig(sanitize=False, bounds_check=bounds_check,
+                                   backend="gpusim")):
+        eng.run_batch(imgs, pair=PAIR, algorithm=algorithm)
         for k in counts:
             counts[k] = 0
-        run = eng.run_batch(imgs, pair=PAIR, algorithm=algorithm,
-                            backend=backend)
+        run = eng.run_batch(imgs, pair=PAIR, algorithm=algorithm)
     assert run.plan_hits == DEPTH and run.plan_misses == 0
     return run
 
 
-@pytest.mark.parametrize("backend", ["gpusim", "compiled"])
 @pytest.mark.parametrize("algorithm", sorted(BATCH_SPECS))
-def test_warm_batch_builds_no_kernel_context(counts, algorithm, backend):
-    run = _warm_batch(counts, algorithm, backend, bounds_check=False)
+def test_warm_batch_builds_no_kernel_context(counts, algorithm):
+    run = _warm_batch(counts, algorithm, bounds_check=False)
     assert counts == {"launch_ctx": 0, "replay_ctx": 0, "replay_kernel": 0}
-    assert {r.backend for r in run.runs} == {backend}
+    assert {r.backend for r in run.runs} == {"gpusim"}
 
 
 @pytest.mark.parametrize("algorithm", sorted(BATCH_SPECS))
 def test_bounds_checked_warm_batch_replays_per_image(counts, algorithm):
-    _warm_batch(counts, algorithm, "gpusim", bounds_check=True)
+    _warm_batch(counts, algorithm, bounds_check=True)
     n_passes = len(get_kernel_spec(algorithm).passes)
     assert counts == {
         "launch_ctx": 0,

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import sat
+from repro import sat, sat_batch
 from repro.exec.config import (
     ENV_VARS,
     PROFILES,
@@ -194,16 +194,34 @@ class TestPrecedence:
         with pytest.raises(TypeError, match="unknown execution fields"):
             resolve_execution(fuzed=True)
 
-    def test_config_as_mapping_and_profile_name(self):
+    @pytest.mark.parametrize("spelling", ["kwarg", "config", "mapping",
+                                          "env"])
+    def test_config_as_mapping_and_profile_name(self, monkeypatch, spelling):
         assert resolve_execution({"bounds_check": True}).bounds_check is True
-        assert resolve_execution("compiled").backend == "compiled"
         assert resolve_execution("sanitized").sanitize is True
         with pytest.raises(ValueError, match="unknown execution profile"):
             resolve_execution("bogus")
+        # ``compiled`` is an alias of ``gpusim`` in every spelling, and
+        # runs report ``gpusim``; it names no profile.
+        kw = {
+            "kwarg": {"backend": "compiled"},
+            "config": {"config": ExecutionConfig(backend="compiled")},
+            "mapping": {"config": {"backend": "compiled"}},
+            "env": {},
+        }[spelling]
+        if spelling == "env":
+            monkeypatch.setenv("REPRO_EXEC_BACKEND", "compiled")
+        assert resolve_execution(**kw).backend == "gpusim"
+        img = np.ones((32, 32), np.uint8)
+        assert sat(img, pair="8u32s", **kw).backend == "gpusim"
+        batch = sat_batch([img, img], pair="8u32s", **kw)
+        assert [r.backend for r in batch.runs] == ["gpusim", "gpusim"]
+        monkeypatch.setenv("REPRO_EXEC_PROFILE", "compiled")
+        with pytest.raises(ValueError, match="unknown REPRO_EXEC_PROFILE"):
+            resolve_execution()
 
     def test_profiles_registry(self):
-        assert set(PROFILES) == {"default", "sanitized", "compiled",
-                                 "autotuned"}
+        assert set(PROFILES) == {"default", "sanitized", "autotuned"}
         assert PROFILES["sanitized"].sanitize is True
 
     def test_get_default_config_roundtrip(self):

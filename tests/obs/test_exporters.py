@@ -147,9 +147,9 @@ class TestPassBreakdown:
             assert r["mode"] == "launch"
             assert set(BREAKDOWN_COLUMNS) <= set(r)
 
-    def test_warm_rows_match_across_backends_and_cold(self):
-        """A warm batch's per-pass rows do not depend on which path ran
-        it, and carry the cold launch's modeled figures."""
+    def test_warm_rows_match_cold(self):
+        """A warm batch's per-pass rows carry the cold launch's modeled
+        figures."""
         from repro.engine import Engine
         from repro.exec.config import ExecutionConfig, execution
 
@@ -159,25 +159,22 @@ class TestPassBreakdown:
         def rows_of(tr):
             return [{k: r[k] for k in keys} for r in pass_breakdown(tr)]
 
-        cold_tr = Tracer()
-        warm = {}
-        with execution(ExecutionConfig(sanitize=False, bounds_check=False)):
+        cold_tr, warm_tr = Tracer(), Tracer()
+        with execution(ExecutionConfig(sanitize=False, bounds_check=False,
+                                       backend="gpusim")):
             with tracing(cold_tr):
-                sat_brlt_scanrow(imgs[0], pair="8u32s", backend="gpusim")
-            for backend in ("gpusim", "compiled"):
-                eng = Engine()
+                sat_brlt_scanrow(imgs[0], pair="8u32s")
+            eng = Engine()
+            sat_batch(imgs, pair="8u32s", algorithm="brlt_scanrow",
+                      engine=eng)
+            with tracing(warm_tr):
                 sat_batch(imgs, pair="8u32s", algorithm="brlt_scanrow",
-                          backend=backend, engine=eng)
-                tr = Tracer()
-                with tracing(tr):
-                    sat_batch(imgs, pair="8u32s", algorithm="brlt_scanrow",
-                              backend=backend, engine=eng)
-                warm[backend] = rows_of(tr)
-        assert warm["gpusim"] == warm["compiled"]
-        assert [r["mode"] for r in warm["gpusim"]] == ["replay", "replay"]
+                          engine=eng)
+        warm = rows_of(warm_tr)
+        assert [r["mode"] for r in warm] == ["replay", "replay"]
         cold = rows_of(cold_tr)
         assert [r["mode"] for r in cold] == ["launch", "launch"]
-        assert ([dict(r, mode="replay") for r in cold] == warm["gpusim"])
+        assert [dict(r, mode="replay") for r in cold] == warm
 
     def test_components_match_kernel_timing(self, traced_sat):
         tr, run = traced_sat

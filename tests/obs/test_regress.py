@@ -100,9 +100,9 @@ class TestBenchFiles:
         )
 
     def test_fresh_simulator_metrics_time_the_simulator(self, monkeypatch):
-        """fused_s is simulator wall time under every ambient profile:
-        each timed round interprets both passes, where a warm bucket
-        would run its lowered program instead."""
+        """fused_s is simulator wall time whatever the ambient backend:
+        each timed round interprets both passes, where an ambient host
+        backend would run NumPy and a warm bucket its lowered program."""
         from repro.exec import backends
         from repro.obs.regress import fresh_simulator_metrics
 
@@ -114,7 +114,7 @@ class TestBenchFiles:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(backends, "launch_kernel", counting)
-        monkeypatch.setenv("REPRO_EXEC_PROFILE", "compiled")
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "host")
         fresh = fresh_simulator_metrics({"size": [64, 64]})
         assert len(launches) == 2 * 3  # two passes per timed round
         assert fresh["fused_s"] > 0

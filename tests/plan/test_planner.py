@@ -1,7 +1,7 @@
 """Planner decision mechanics and the golden decision table.
 
 The golden table pins the planner's full decision (algorithm, opts,
-backend, modeled microseconds, ranking, block) per
+modeled microseconds, ranking, block) per
 (device x pair x bucket) — the model is deterministic, so any drift is a
 real change to either the cost model or the decision procedure and must
 be reviewed, not absorbed.  Regenerate after an intentional change::
@@ -28,7 +28,7 @@ from repro.plan import (
     shard_threshold_elems,
     shard_tile_shape,
 )
-from repro.plan.planner import BUCKET_EDGES, CANDIDATES, COMPILED_BATCH_MIN
+from repro.plan.planner import BUCKET_EDGES, CANDIDATES
 from repro.sat.api import sat
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "plan_decisions.json"
@@ -70,15 +70,6 @@ class TestDecide:
         assert a is b
         c = planner.decide((300, 300), "8u32s", "V100")
         assert c is not a
-
-    def test_batch_size_quantises(self, planner):
-        solo = planner.decide((256, 256), "8u32s", "P100", batch_size=1)
-        pair_ = planner.decide((256, 256), "8u32s", "P100", batch_size=2)
-        deep = planner.decide((256, 256), "8u32s", "P100", batch_size=16)
-        assert solo is pair_          # below the compiled knee: one key
-        assert solo.backend == "gpusim"
-        assert deep.backend == "compiled"
-        assert deep.batch_bucket == COMPILED_BATCH_MIN
 
     def test_ranking_covers_all_supported_candidates(self, planner):
         d = planner.decide((256, 256), "8u32s", "P100")

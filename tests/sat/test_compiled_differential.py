@@ -67,15 +67,15 @@ def _bits(run):
 @example(shape=(31, 65), pair="32f32f")
 @example(shape=(64, 1), pair="64f64f")
 def test_three_way_differential(algo, shape, pair):
-    """compiled (cold and warm) vs the interpreting driver vs host on
+    """The engine (cold and warm) vs the interpreting driver vs host on
     random shapes."""
     img = make_image(shape, pair, seed=shape[0] * 97 + shape[1])
     g = PAPER_ALGORITHMS[algo](img, pair=pair)
-    cold = sat(img, pair=pair, algorithm=algo, backend="compiled")
-    warm = sat(img, pair=pair, algorithm=algo, backend="compiled")
+    cold = sat(img, pair=pair, algorithm=algo, backend="gpusim")
+    warm = sat(img, pair=pair, algorithm=algo, backend="gpusim")
     h = sat(img, pair=pair, algorithm=algo, backend="host")
     for c in (cold, warm):
-        assert c.backend == "compiled"
+        assert c.backend == "gpusim"
         assert c.output.dtype == g.output.dtype
         assert c.output.shape == g.output.shape
         assert _bits(c) == _bits(g)
@@ -99,7 +99,7 @@ def test_float_scan_variants_bit_identical(algo, scan, monkeypatch):
     img.flat[::7] = -0.0
     g = PAPER_ALGORITHMS[algo](img, pair="32f32f", scan=scan)
     eng = Engine()
-    kw = dict(pair="32f32f", algorithm=algo, scan=scan, backend="compiled")
+    kw = dict(pair="32f32f", algorithm=algo, scan=scan, backend="gpusim")
     cold = eng.run_batch([img], **kw).runs[0]
 
     contexts = []
@@ -114,7 +114,7 @@ def test_float_scan_variants_bit_identical(algo, scan, monkeypatch):
     warm = eng.run_batch([img], **kw).runs[0]
     assert contexts == []
     assert get_metrics().counter_total("compile.hit") == hits + 1
-    assert warm.backend == "compiled"
+    assert warm.backend == "gpusim"
     assert _bits(cold) == _bits(g)
     assert _bits(warm) == _bits(g)
 
@@ -122,18 +122,17 @@ def test_float_scan_variants_bit_identical(algo, scan, monkeypatch):
 @pytest.mark.parametrize("pair", ["8u32s", "64f64f"])
 @pytest.mark.parametrize("algo", ALGOS)
 def test_batch_compiled_bit_identical(algo, pair, monkeypatch):
-    """Batches on either backend (warm images run the lowered program)
-    match interpreted solo driver runs per image, bit for bit, with
-    identical modeled times."""
+    """Batches (warm images run the lowered program) match interpreted
+    solo driver runs per image, bit for bit, with identical modeled
+    times."""
     monkeypatch.setenv("REPRO_GPUSIM_SANITIZE", "0")
     imgs = [make_image((50 + i % 3, 40 + i % 2), pair, seed=i)
             for i in range(6)]
     ref = [PAPER_ALGORITHMS[algo](im, pair=pair, backend="gpusim")
            for im in imgs]
-    for backend in ("gpusim", "compiled"):
-        got = Engine().run_batch(imgs, algorithm=algo, pair=pair,
-                                 backend=backend)
-        for r, c in zip(ref, got.runs):
-            assert c.output.dtype == r.output.dtype
-            assert _bits(c) == _bits(r)
-            assert c.time_us == pytest.approx(r.time_us)
+    got = Engine().run_batch(imgs, algorithm=algo, pair=pair,
+                             backend="gpusim")
+    for r, c in zip(ref, got.runs):
+        assert c.output.dtype == r.output.dtype
+        assert _bits(c) == _bits(r)
+        assert c.time_us == pytest.approx(r.time_us)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exec.config import execution
 from repro.obs import get_metrics, reset_metrics
 from repro.sat.api import sat
 from repro.sat.box_filter import box_filter as direct_box_filter
@@ -329,6 +330,24 @@ class TestLifecycle:
             with pytest.raises(ServeError) as ei:
                 service.submit(SatRequest(np.ones((16, 16), np.uint8)))
         assert ei.value.code == "shutdown"
+
+    def test_baseline_ignores_an_ambient_backend(self):
+        """A spec-less baseline runs its own CPU path whatever backend the
+        submitter's context prefers, as a direct ``sat()`` does.  A
+        non-gpusim backend in the request's own config is rejected at
+        submit, with the ``ValueError`` ``sat()`` raises."""
+        img = np.random.default_rng(5).integers(0, 255, size=(40, 56),
+                                                dtype=np.uint8)
+        with execution(backend="host"):
+            ref = sat(img, pair="8u32s", algorithm="opencv").output
+            with SatService(workers=1) as service:
+                got = service.sat(img, pair="8u32s", algorithm="opencv",
+                                  timeout=60)
+                with pytest.raises(ValueError, match="no kernel spec"):
+                    service.submit(SatRequest(img, pair="8u32s",
+                                              algorithm="opencv",
+                                              config={"backend": "host"}))
+        np.testing.assert_array_equal(got, ref)
 
     def test_per_request_config_separates_batches(self, svc):
         """Requests pinning different execution modes must not share a

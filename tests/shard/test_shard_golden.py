@@ -2,8 +2,9 @@
 
 For every dtype pair on a ragged 70x90 image cut into 32x48 tiles (a 3x2
 grid with ragged bottom and right tiles), on the ``2xP100`` and
-``P100,V100`` device sets and the ``gpusim``, ``compiled`` and ``host``
-backends, the sharded output's sha256, dtype and shape are pinned
+``P100,V100`` device sets and the ``gpusim``, ``compiled`` (an alias of
+``gpusim``) and ``host`` backends, the sharded output's sha256, dtype
+and shape are pinned
 together with the run report's modeled fields: makespan, busy times,
 overlap, retries, D2D copies and lookback statistics.
 

@@ -57,18 +57,16 @@ class TestTransparentRouting:
         img = np.ones((150, 200), dtype=np.uint8)
         assert not isinstance(sat(img, pair="8u32s", shard=False), ShardRun)
 
-    @pytest.mark.parametrize("backend", ["gpusim", "compiled", "host"])
+    @pytest.mark.parametrize("backend", ["gpusim", "host"])
     def test_sharded_run_reports_the_tiles_backend(self, small_threshold,
                                                    backend):
         img = np.ones((100, 100), dtype=np.uint8)
         sharded = sat(img, pair="8u32s", backend=backend)
         whole = sat(img, pair="8u32s", backend=backend, shard=False)
         assert isinstance(sharded, ShardRun)
-        # Not pinned to ``backend``: sanitized compiled calls run, and
-        # report, the interpreted gpusim path either way.
-        assert sharded.backend == whole.backend
+        assert sharded.backend == whole.backend == backend
 
-    @pytest.mark.parametrize("backend", ["gpusim", "compiled", "host"])
+    @pytest.mark.parametrize("backend", ["gpusim", "host"])
     def test_series_reports_the_frames_backend(self, backend):
         frames = [np.ones((40, 40), dtype=np.uint8)] * 3
         series = sharded_sat_series(frames, pair="8u32s", backend=backend)
@@ -167,7 +165,7 @@ class TestGigapixelAcceptance:
         compute/carry overlap."""
         rng = np.random.default_rng(16384)
         img = rng.integers(0, 255, size=(16384, 16384)).astype(np.uint8)
-        run = sat(img, pair="8u32s", config="compiled",
+        run = sat(img, pair="8u32s", backend="gpusim",
                   shard={"tile_shape": (1024, 1024), "devices": "2xP100"})
         assert isinstance(run, ShardRun)
         rep = run.report

@@ -123,8 +123,8 @@ def test_seed_changes_checksum(capsys):
 
 def test_trace_command_chrome(tmp_path, capsys):
     out = tmp_path / "trace.json"
-    # Launch-span layout is interpreted-backend specific: pin it so a
-    # compiled execution profile cannot swap in warm program spans.
+    # Launch-span layout is simulator specific: pin the backend so an
+    # ambient host backend cannot drop the launch spans.
     assert main(["trace", "--size", "128", "--pair", "8u32s",
                  "--algorithm", "brlt_scanrow", "--backend", "gpusim",
                  "--out", str(out)]) == 0
