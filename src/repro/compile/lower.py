@@ -70,8 +70,11 @@ class LoweredPass:
     ``cols`` along axis 1; either may be ``None`` when the pass has no
     program for that orientation (the executor materialises a transpose
     first).  Bodies may scan **in place** — the executing layers hand the
-    program a private staging stack.  ``col_major`` marks passes whose
-    *logical* scan runs down columns (ScanColumn).
+    program a private staging stack, or a one-image view of the run's
+    output destination, which may be a strided slice of a larger array
+    (the in-place bodies scan such a view without a reshape copy).
+    ``col_major`` marks passes whose *logical* scan runs down columns
+    (ScanColumn).
     """
 
     rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -110,7 +113,8 @@ class CompiledPlan:
         """Execute all passes over a padded ``(depth, H, W)`` stack.
 
         The stack must already be in the accumulator dtype and must be
-        private to this call: lowered passes may scan it in place, and
+        private to this call (a staging stack, or a view of the caller's
+        output destination): lowered passes may scan it in place, and
         the returned array may alias it.
 
         ``t`` tracks the pending per-image transpose: when true, ``cur``

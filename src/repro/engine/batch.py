@@ -299,14 +299,27 @@ class Engine:
         backend: Optional[str] = None,
         config: Optional[ExecutionConfig] = None,
         autotune: Optional[bool] = None,
+        out: Optional[np.ndarray] = None,
+        carry: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         **opts,
     ) -> BatchRun:
-        """Run a batch of images through ``algorithm``; see :func:`sat_batch`."""
+        """Run a batch of images through ``algorithm``; see :func:`sat_batch`.
+
+        ``out`` and ``carry`` serve the sharded executor and need a
+        one-image batch.  ``out`` is a 2-D destination of the image's
+        shape in the accumulator dtype; the run's ``output`` is that
+        array.  ``carry=(left, top)`` (integer accumulators only, and
+        only with ``out``) makes the output ``SAT + left[:, None] +
+        top[None, :]`` with wraparound; see :class:`_Destination` for how
+        each path applies it.
+        """
         from ..sat.api import ALGORITHMS, _resolve_pair
 
         t0 = time.perf_counter()
         imgs = self._normalize(images)
         tp = _resolve_pair(imgs[0], pair)
+        dest = (None if out is None and carry is None
+                else _Destination.make(imgs, tp, exclusive, out, carry))
         overrides = dict(sanitize=sanitize, bounds_check=bounds_check,
                          backend=backend, device=device, autotune=autotune)
         if (isinstance(config, ExecutionConfig) and config.is_fully_resolved
@@ -377,8 +390,11 @@ class Engine:
                 run = self._run_fallback(run_one, imgs, tp, dev, algorithm)
             else:
                 run = self._run_batched(
-                    run_one, imgs, tp, dev, algorithm, spec_method, opts, res
+                    run_one, imgs, tp, dev, algorithm, spec_method, opts, res,
+                    dest,
                 )
+            if dest is not None:
+                dest.finish(run.runs[0])
         if sp is not None:
             sp.attrs["modeled_batched_s"] = run.modeled_batched_s
             sp.attrs["modeled_sequential_s"] = run.modeled_sequential_s
@@ -495,7 +511,7 @@ class Engine:
         )
 
     def _run_batched(self, run_one, imgs, tp, dev, algorithm, spec_fn, opts,
-                     res: ExecutionConfig) -> BatchRun:
+                     res: ExecutionConfig, dest) -> BatchRun:
         spec: BatchSpec = spec_fn(tp, dev, **opts)
         groups = self.scheduler.groups([im.shape for im in imgs], spec.pad)
         runs: List[Optional[SatRun]] = [None] * len(imgs)
@@ -521,6 +537,7 @@ class Engine:
                 hits, misses, modeled_batched = self._run_group_locked(
                     run_one, imgs, tp, dev, algorithm, spec, opts,
                     res, grp, plan, runs, hits, misses, modeled_batched,
+                    dest,
                 )
 
         return BatchRun(
@@ -538,7 +555,7 @@ class Engine:
 
     def _run_group_locked(self, run_one, imgs, tp, dev, algorithm, spec,
                           opts, res, grp, plan, runs,
-                          hits, misses, modeled_batched):
+                          hits, misses, modeled_batched, dest):
         """Cold-record, lower, then run warm chunks of one bucket group
         (caller holds plan.lock).  Adds to and returns the running
         ``(hits, misses, modeled_batched)``; the modeled time is summed in
@@ -576,7 +593,7 @@ class Engine:
         for chunk in self.scheduler.chunk(BucketGroup(grp.bucket, pending),
                                           per_img):
             modeled_batched += self._run_chunk(plan, spec, tp, dev, algorithm,
-                                               imgs, chunk, runs, res)
+                                               imgs, chunk, runs, res, dest)
         return hits, misses, modeled_batched
 
     def _run_chunk(
@@ -590,6 +607,7 @@ class Engine:
         chunk: List[int],
         runs: List[Optional[SatRun]],
         res: ExecutionConfig,
+        dest: Optional["_Destination"],
     ) -> float:
         """Stage, execute and split one warm chunk; returns its modeled time.
 
@@ -599,7 +617,11 @@ class Engine:
         grid axis, so this *is* the stacked launch.  Buckets without a
         program replay each image through the interpreter instead.  Either
         way the per-image stats are clones of the recorded cold launch,
-        and the chunk is modeled as one stacked launch per pass.
+        and the chunk is modeled as one stacked launch per pass.  Outputs
+        are copied out of the stack while the caller still holds
+        ``plan.lock``, since the next holder refills the staging buffers
+        it may alias; only a run that computed in its destination skips
+        the copy.
         """
         depth = len(chunk)
         hp, wp = plan.key.bucket
@@ -610,7 +632,7 @@ class Engine:
               if tracer is not None else nullcontext()) as sp:
             chunk_imgs = [imgs[i] for i in chunk]
             out3 = self._run_program(plan, spec, tp, algorithm, chunk_imgs,
-                                     res)
+                                     res, dest)
             if out3 is None:
                 out3 = self._replay_images(
                     plan, spec, tp,
@@ -628,7 +650,8 @@ class Engine:
         for j, i in enumerate(chunk):
             h, w = imgs[i].shape
             runs[i] = SatRun(
-                output=out3[j, :h, :w].copy(),
+                output=(dest.out if dest is not None and dest.in_place
+                        else out3[j, :h, :w].copy()),
                 launches=[lp.clone_stats() for lp in plan.launch_plans],
                 algorithm=algorithm,
                 device=dev.name,
@@ -658,20 +681,24 @@ class Engine:
         return x3
 
     def _run_program(self, plan, spec, tp, algorithm, imgs,
-                     res) -> Optional[np.ndarray]:
+                     res, dest) -> Optional[np.ndarray]:
         """The lowered program's output stack for ``imgs``, or ``None``
         when the bucket has no program.
 
         Images are staged straight into the accumulator dtype: the
         per-element cast input->acc is exactly the kernels' load-time
-        astype, and the pad zeros are cast-invariant.  An execute-time
-        failure drops the program (``compile.fallback``) and returns
-        ``None``.
+        astype, and the pad zeros are cast-invariant.  An image that
+        fills its bucket and has a destination is staged into the
+        destination instead, and the program runs there.  An
+        execute-time failure drops the program (``compile.fallback``)
+        and returns ``None``.
         """
         if plan.compiled is None:
             return None
         depth = len(imgs)
-        x3 = self._stage(plan, "compiled_input", imgs, tp, tp.output.np_dtype)
+        in_place = dest is not None and imgs[0].shape == plan.key.bucket
+        x3 = (dest.stage(imgs[0], tp) if in_place else
+              self._stage(plan, "compiled_input", imgs, tp, tp.output.np_dtype))
         try:
             out3 = plan.compiled.run(x3)
         except Exception as e:
@@ -685,6 +712,8 @@ class Engine:
                              level="warning", algorithm=algorithm,
                              reason=str(e))
             return None
+        if in_place:
+            dest.land(out3[0])
         get_metrics().counter("compile.hit", algorithm=algorithm).inc(depth)
         timeline_count("compile_hits", depth)
         for p, lp in zip(spec.passes, plan.launch_plans):
@@ -715,6 +744,97 @@ class Engine:
         return out3
 
 
+@dataclass
+class _Destination:
+    """Where a one-image batch puts its output (``run_batch(out=, carry=)``).
+
+    A warm chunk whose bucket equals the image's shape computes in place:
+    :meth:`stage` casts the image into ``out`` through the input dtype,
+    as :meth:`Engine._stage` does, and folds the carries into it, and the
+    lowered program then scans ``out`` itself.  The fold is exact because
+    an integer SAT is linear under wrapping addition: adding ``left``'s
+    row-to-row differences to column 0, ``top``'s column-to-column
+    differences to row 0 and both first elements to the corner adds
+    ``left[:, None] + top[None, :]`` to the table.  Every other run
+    (cold, ragged, replayed, ``host``, sanitized) computes as usual, and
+    :meth:`finish` copies its output into ``out``, then adds ``left``
+    and then ``top``.
+    """
+
+    out: np.ndarray
+    carry: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    #: Whether the lowered program computed the table, carries included,
+    #: in ``out``.
+    in_place: bool = False
+
+    @classmethod
+    def make(cls, imgs: List[np.ndarray], tp: TypePair, exclusive: bool,
+             out: Optional[np.ndarray], carry) -> "_Destination":
+        """Check the ``out=``/``carry=`` keywords of one batch."""
+        acc = np.dtype(tp.output.np_dtype)
+        if len(imgs) != 1:
+            raise ValueError(
+                f"out= and carry= need a one-image batch, got {len(imgs)} "
+                f"images")
+        if exclusive:
+            raise ValueError(
+                "out= and carry= hold the inclusive table; exclusive=True "
+                "cannot write to them")
+        shape = imgs[0].shape
+        if out is None:
+            raise ValueError("carry= needs an out= destination")
+        if (not isinstance(out, np.ndarray) or out.shape != shape
+                or out.dtype != acc):
+            raise ValueError(
+                f"out= must be a {shape} {acc} array for pair {tp.name}, got "
+                f"{getattr(out, 'shape', None)} {getattr(out, 'dtype', None)}")
+        if carry is not None:
+            if not tp.output.is_integer:
+                raise ValueError(
+                    f"carry= needs an integer accumulator; pair {tp.name} "
+                    f"accumulates in {acc}")
+            left, top = (np.asarray(v, dtype=acc) for v in carry)
+            if left.shape != shape[:1] or top.shape != shape[1:]:
+                raise ValueError(
+                    f"carry= must be (left, top) of shapes {shape[:1]} and "
+                    f"{shape[1:]}, got {left.shape} and {top.shape}")
+            carry = (left, top)
+        return cls(out, carry)
+
+    def stage(self, im: np.ndarray, tp: TypePair) -> np.ndarray:
+        """Cast ``im`` into ``out`` with the carries folded in; returns
+        ``out`` as a one-image stack."""
+        x = self.out
+        x[...] = im.astype(tp.input.np_dtype, copy=False)
+        if self.carry is not None:
+            left, top = self.carry
+            with np.errstate(over="ignore"):
+                x[0, 0] += left[0] + top[0]
+                x[1:, 0] += left[1:] - left[:-1]
+                x[0, 1:] += top[1:] - top[:-1]
+        return x[None]
+
+    def land(self, image: np.ndarray) -> None:
+        """Take the in-place program's output ``image``, copying it into
+        ``out`` unless a pass returned ``out``'s own memory."""
+        if (image.ctypes.data != self.out.ctypes.data
+                or image.strides != self.out.strides):
+            self.out[...] = image
+        self.in_place = True
+
+    def finish(self, run: SatRun) -> None:
+        """Make ``out`` ``run``'s output, adding the carries unless the
+        program folded them in."""
+        if not self.in_place:
+            self.out[...] = run.output
+            if self.carry is not None:
+                left, top = self.carry
+                with np.errstate(over="ignore"):
+                    np.add(self.out, left[:, None], out=self.out)
+                    np.add(self.out, top[None, :], out=self.out)
+        run.output = self.out
+
+
 _default_engine: Optional[Engine] = None
 
 
@@ -730,7 +850,7 @@ def run_single(image: np.ndarray, **kwargs) -> SatRun:
     """``image`` as a one-image batch on the default engine; returns its
     run.  Every unsharded :func:`repro.sat` call and every sharded tile
     and series frame executes through here; ``kwargs`` are
-    :meth:`Engine.run_batch`'s."""
+    :meth:`Engine.run_batch`'s, ``out=`` and ``carry=`` included."""
     return default_engine().run_batch([image], **kwargs).runs[0]
 
 

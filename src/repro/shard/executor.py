@@ -27,14 +27,29 @@ the row prefix: a genuine two-stage dependency the lookback protocol
 resolves tile-by-tile in kernel-completion order, deferring (status
 ``X``) when a predecessor has not landed yet.
 
+Integer tiles do not wait for it.  Tiles issue row-major, so when a tile
+issues, the tiles to its left and above are final, and it reads its
+carries from them: ``left[y] = S[R0+y, C0-1] - S[R0-1, C0-1]`` and
+``top[x] = S[R0-1, C0+x]``.  The engine folds them into the tile's scan
+(wrapping addition is associative), and the tile publishes the local
+aggregates recovered from its final values.  Lookback still resolves
+every carry, in the same order with the same stream ops, and a resolved
+carry that differs from the folded one raises ``RuntimeError``.  Float
+addition is not associative, so float tiles take their carries from
+lookback alone.
+
 Memory
 ------
-The output is allocated first.  Each tile's local SAT is copied into its
-output slice as soon as it returns and then dropped; copies of its right
-and bottom edges are all that is kept for the chains.  Once a tile's
-``left`` and ``top`` resolve, its carries apply as two in-place
-broadcast adds on the slice, ``(local + left) + top``, so a sharded call
-holds its output plus one tile.
+The output is allocated first, and each tile computes into its output
+slice: the slice is the engine's output destination (``out=``), and a
+warm tile that fills its bucket runs its lowered program there, with no
+staging buffer (integer scans run in place; a float program's result is
+copied back); other tiles are copied in.  Integer carries are folded
+into the scan (``carry=``); float carries apply once ``left`` and
+``top`` resolve, as two in-place broadcast adds on the slice,
+``(local + left) + top``.  Copies of each tile's right and bottom edges
+and its carry vectors are all that is kept for the chains, so a sharded
+call holds its output plus at most one tile.
 
 Cost model
 ----------
@@ -249,6 +264,27 @@ def _resolve_pair(image: np.ndarray, pair) -> TypePair:
     return parse_pair(pair)
 
 
+def _issue_carries(out: np.ndarray, p,
+                   acc) -> Tuple[np.ndarray, np.ndarray]:
+    """An integer tile's ``(left, top)`` carries, read from the final
+    values of the tiles to its left and above::
+
+        left[y] = S[r0 + y, c0 - 1] - S[r0 - 1, c0 - 1]
+        top[x]  = S[r0 - 1, c0 + x]
+    """
+    r0, c0 = p.row0, p.col0
+    if c0 == 0:
+        left = np.zeros(p.h, dtype=acc)
+    elif r0 == 0:
+        left = out[:p.h, c0 - 1].copy()
+    else:
+        with np.errstate(over="ignore"):
+            left = out[r0: r0 + p.h, c0 - 1] - out[r0 - 1, c0 - 1]
+    top = (out[r0 - 1, c0: c0 + p.w].copy() if r0
+           else np.zeros(p.w, dtype=acc))
+    return left, top
+
+
 def _kernel_cost_s(run: SatRun, shape: Tuple[int, int], tp: TypePair,
                    dev: SimDevice, n_passes: int) -> float:
     """Modeled duration of one tile's local SAT on the timeline.
@@ -309,18 +345,28 @@ def sharded_sat(
     tracer = resolve_tracer(None)
 
     # -- phase 1: local SATs, one kernel + one H2D copy per tile ---------
-    # Edges are kept as copies, never views of ``out``: the slice gains
-    # its carries in place, and a chain hands a published aggregate on by
-    # reference as a successor's prefix.
-    out = np.empty(image.shape, dtype=tp.output.np_dtype)
+    # Each tile computes into its slice of ``out``; integer tiles fold
+    # their carries in (module docs).  Edges are kept as copies, never
+    # views of ``out``: a float slice gains its carries in place, and a
+    # chain hands a published aggregate on by reference as a successor's
+    # prefix.
+    acc = tp.output.np_dtype
+    integer = tp.output.is_integer
+    out = np.empty(image.shape, dtype=acc)
     right: Dict[Tuple[int, int], np.ndarray] = {}
     bottom: Dict[Tuple[int, int], np.ndarray] = {}
+    folded: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
     kops: Dict[Tuple[int, int], object] = {}
     launches = []
     backend_name = None
     in_size = tp.input.size
     acc_size = tp.output.size
-    for p in plan.placements:
+    for k, p in enumerate(plan.placements):
+        if (p.r, p.c) != divmod(k, nc):
+            # Issue-time carries read the tiles to the left and above.
+            raise RuntimeError(
+                f"tile ({p.r}, {p.c}) is issued at position {k}; tiles "
+                f"must issue row-major")
         dev = dset.device(p.device)
         sub = image[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w]
         cop = dev.enqueue(
@@ -338,13 +384,21 @@ def sharded_sat(
             from contextlib import nullcontext
 
             cm = nullcontext()
+        key = (p.r, p.c)
+        dst = out[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w]
+        carry = _issue_carries(out, p, acc) if integer else None
         with cm:
             run = run_single(sub, pair=tp, algorithm=algorithm,
-                             config=configs[dev.spec.name], **opts)
-        key = (p.r, p.c)
-        out[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w] = run.output
-        right[key] = run.output[:, -1].copy()
-        bottom[key] = run.output[-1, :].copy()
+                             config=configs[dev.spec.name], out=dst,
+                             carry=carry, **opts)
+        if integer:
+            lft, top = folded[key] = carry
+            with np.errstate(over="ignore"):
+                right[key] = dst[:, -1] - lft - top[-1]
+                bottom[key] = dst[-1, :] - top - lft[-1]
+        else:
+            right[key] = dst[:, -1].copy()
+            bottom[key] = dst[-1, :].copy()
         backend_name = run.backend
         launches.extend(run.launches)
         kops[key] = dev.enqueue(
@@ -365,11 +419,19 @@ def sharded_sat(
     def finalize(p, top: np.ndarray) -> None:
         nonlocal carry_ops, copy_d2d
         key = (p.r, p.c)
-        # left before top: float outputs are pinned to this association.
-        dst = out[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add(dst, left[key][:, None], out=dst)
-            np.add(dst, top[None, :], out=dst)
+        if integer:
+            lft, ftop = folded.pop(key)
+            if not (np.array_equal(left[key], lft)
+                    and np.array_equal(top, ftop)):
+                raise RuntimeError(
+                    f"tile {key}: the carries resolved by lookback differ "
+                    f"from the ones folded into its scan")
+        else:
+            # left before top: float outputs are pinned to this association.
+            dst = out[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add(dst, left[key][:, None], out=dst)
+                np.add(dst, top[None, :], out=dst)
         dev = dset.device(p.device)
         cstream = (p.stream + 1) % len(dev.streams)
         deps = [kops[key]]

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.dtypes import TYPE_PAIRS
-from repro.exec.config import PROFILES
+from repro.engine.batch import default_engine
+from repro.exec.config import PROFILES, ExecutionConfig
 from repro.sat.api import sat
-from repro.shard import ShardRun, sharded_sat
+from repro.shard import DescriptorChain, ShardRun, sharded_sat
+from repro.shard import executor
 
 PROFILE_NAMES = sorted(PROFILES)
 
@@ -145,6 +147,63 @@ class TestCarryProtocol:
         assert 0.0 < rep["overlap_fraction"] <= 1.0
         assert rep["makespan_s"] > 0.0
         assert run.time_s == rep["makespan_s"]
+
+    def test_cold_buckets_mid_call_add_nonzero_carries(self, monkeypatch):
+        """A ragged grid on a cleared engine: the edge tiles' buckets
+        run cold mid-call, and their carries are added after the cold
+        run instead of folded into a lowered scan."""
+        cache = default_engine().cache
+        cache.clear()
+        calls = []
+        real = executor.run_single
+
+        def spy(image, carry=None, **kwargs):
+            misses = cache.misses
+            run = real(image, carry=carry, **kwargs)
+            calls.append((cache.misses > misses, carry))
+            return run
+
+        monkeypatch.setattr(executor, "run_single", spy)
+        img = _image((100, 100), "8u32s", seed=8)
+        run = sharded_sat(
+            img, pair="8u32s",
+            config=ExecutionConfig(sanitize=False, bounds_check=False,
+                                   backend="gpusim"),
+            shard={"tile_shape": (40, 40), "devices": "2xP100"},
+        )
+        np.testing.assert_array_equal(run.output, _reference(img, "8u32s"))
+        # Tiles (0,2), (2,0) and (2,2) open the 64x32, 32x64 and 32x32
+        # buckets; (2,2) has both carries.
+        later_cold = [(lft.any(), top.any())
+                      for cold, (lft, top) in calls[1:] if cold]
+        assert later_cold == [(True, False), (False, True), (True, True)]
+
+    @pytest.mark.parametrize("pair", ["8u32s", "32f32f"])
+    def test_lookback_carries_stay_load_bearing(self, monkeypatch, pair):
+        """Integer tiles fold carries read at issue time, but the
+        lookback still checks them; float tiles add what it resolves."""
+        img = _image((96, 96), pair, seed=9)
+
+        def call():
+            return sharded_sat(img, pair=pair,
+                               shard={"tile_shape": (32, 32),
+                                      "devices": "2xP100"})
+
+        clean = call().output
+        real = DescriptorChain.lookback
+
+        def perturbed(chain, i):
+            excl = real(chain, i)
+            if excl is not None and chain.name == "row1" and i == 1:
+                excl = excl + 1
+            return excl
+
+        monkeypatch.setattr(DescriptorChain, "lookback", perturbed)
+        if TYPE_PAIRS[pair].output.is_integer:
+            with pytest.raises(RuntimeError, match="folded"):
+                call()
+        else:
+            assert not np.array_equal(call().output, clean)
 
     def test_shardrun_is_a_satrun(self):
         img = _image((50, 50), "8u32s", seed=5)
