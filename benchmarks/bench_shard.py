@@ -86,7 +86,7 @@ def _sharded(img, tile, devices, config=None):
 
 def run_smoke(size: int, tile: int, devices: str) -> int:
     rng = np.random.default_rng(0)
-    img = rng.integers(0, 255, size=(size, size)).astype(np.uint8)
+    img = rng.integers(0, 255, size=(size, size), dtype=np.uint8)
     run = _sharded(img, (tile, tile), devices)
     rep = run.report
     _check_single_pass(rep)
@@ -108,7 +108,7 @@ def _series_sweep(frames: int, shape, devices: str) -> dict:
     from repro.shard import sharded_sat_series
 
     rng = np.random.default_rng(1)
-    imgs = [rng.integers(0, 255, size=shape).astype(np.uint8)
+    imgs = [rng.integers(0, 255, size=shape, dtype=np.uint8)
             for _ in range(frames)]
     run = sharded_sat_series(imgs, pair="8u32s", temporal=True,
                              shard={"devices": devices})
@@ -127,7 +127,7 @@ def run_full(big: int, big_tile: int, devices: str, frames: int) -> int:
 
     # Regress-comparable geometry: cheap, deterministic, re-measurable.
     rng = np.random.default_rng(0)
-    small = rng.integers(0, 255, size=(2048, 2048)).astype(np.uint8)
+    small = rng.integers(0, 255, size=(2048, 2048), dtype=np.uint8)
     sm = _sharded(small, (512, 512), devices)
     _check_single_pass(sm.report)
     assert np.array_equal(sm.output, _host_reference(small))
@@ -137,7 +137,7 @@ def run_full(big: int, big_tile: int, devices: str, frames: int) -> int:
     # Gigapixel headline on the gpusim backend: the first tile records
     # its plan, the rest run the lowered program.  The tracemalloc peak is
     # informational (regress reads only the top-level metrics).
-    img = rng.integers(0, 255, size=(big, big)).astype(np.uint8)
+    img = rng.integers(0, 255, size=(big, big), dtype=np.uint8)
     tracemalloc.start()
     try:
         run = _sharded(img, (big_tile, big_tile), devices,

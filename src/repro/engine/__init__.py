@@ -4,12 +4,11 @@ See :mod:`repro.engine.batch` for the execution model and ``docs/engine.md``
 for the user-facing description.
 """
 
-from .batch import BATCH_SPECS, BatchRun, Engine, default_engine, sat_batch
+from .batch import BatchRun, Engine, default_engine, sat_batch
 from .plan import LaunchPlanCache, PlanKey, SatPlan
 from .scheduler import BatchScheduler, BucketGroup
 
 __all__ = [
-    "BATCH_SPECS",
     "BatchRun",
     "Engine",
     "default_engine",

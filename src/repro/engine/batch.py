@@ -47,11 +47,7 @@ from ..obs.metrics import get_metrics
 from ..obs.trace import current_tracer
 from ..exec.config import ExecutionConfig, requested_backend, resolve_execution
 from ..exec.registry import (
-    BatchSpec,
-    get_backend,
-    get_kernel_spec,
-    has_kernel_spec,
-    kernel_spec_names,
+    KernelSpec, get_backend, get_kernel_spec, has_kernel_spec,
 )
 from ..gpusim.cost.model import kernel_time
 from ..gpusim.device import get_device
@@ -62,18 +58,7 @@ from ..sat.naive import exclusive_from_inclusive
 from .plan import LaunchPlanCache, PlanKey, SatPlan
 from .scheduler import BatchScheduler, BucketGroup
 
-__all__ = [
-    "BATCH_SPECS", "BatchRun", "Engine", "default_engine", "run_single",
-    "sat_batch",
-]
-
-#: Algorithms with a stacking recipe, derived from the kernel-spec
-#: registry (each entry is that spec's ``batch_spec`` builder); everything
-#: else (the baselines) falls back to a per-image loop inside
-#: :meth:`Engine.run_batch`.
-BATCH_SPECS = {
-    name: get_kernel_spec(name).batch_spec for name in kernel_spec_names()
-}
+__all__ = ["BatchRun", "Engine", "default_engine", "run_single", "sat_batch"]
 
 _AXIS_INDEX = {"x": 0, "y": 1}
 
@@ -235,7 +220,54 @@ def check_baseline_backend(algorithm: str, config=None,
         )
 
 
-def ensure_compiled(plan: SatPlan, spec, tp: TypePair,
+def check_image(image, what: str = "SAT input") -> None:
+    """Reject anything but a 2-D array with at least one row and one
+    column; ``what`` names the image in the message."""
+    if not isinstance(image, np.ndarray) or image.ndim != 2:
+        raise ValueError(
+            f"{what} must be a 2-D array, got shape "
+            f"{getattr(image, 'shape', None)}"
+        )
+    if image.shape[0] == 0 or image.shape[1] == 0:
+        raise ValueError(
+            f"{what} must have at least one row and one column, got shape "
+            f"{image.shape}"
+        )
+
+
+def choose_algorithm(algorithm: Optional[str], shape, tp: TypePair,
+                     resolved: ExecutionConfig,
+                     opts: Mapping) -> Tuple[str, Mapping]:
+    """The ``(algorithm, opts)`` a call on an image of ``shape`` runs.
+
+    ``"auto"``, or an unset algorithm under a resolved ``autotune``, runs
+    the :class:`~repro.plan.Planner`'s decision for ``shape``, ``tp`` and
+    the resolved device, with explicit ``opts`` winning over the
+    decision's.  Any other unset algorithm runs
+    :data:`~repro.plan.DEFAULT_ALGORITHM`, and an unknown name raises
+    ``KeyError``.  ``sat()``, ``sat_batch()``, the sharded executor and
+    the serve batcher all choose here, so the planner only selects: the
+    choice runs exactly as if it were spelled out.
+    """
+    if algorithm is None or algorithm == "auto":
+        # Imported lazily: repro.plan leans on repro.engine.lru, so a
+        # module-level import here would be circular.
+        from ..plan.planner import DEFAULT_ALGORITHM, get_planner
+
+        if algorithm is None and not resolved.autotune:
+            return DEFAULT_ALGORITHM, opts
+        decision = get_planner().decide(shape, tp.name, resolved.device)
+        return decision.algorithm, {**decision.opts_dict(), **opts}
+    from ..sat.api import ALGORITHMS
+
+    if algorithm not in ALGORITHMS:
+        raise KeyError(
+            f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
+        )
+    return algorithm, opts
+
+
+def ensure_compiled(plan: SatPlan, tp: TypePair,
                     opts: Optional[Mapping] = None) -> bool:
     """Lower ``plan`` into its compiled program if not already done.
 
@@ -252,6 +284,7 @@ def ensure_compiled(plan: SatPlan, spec, tp: TypePair,
         return False
     from ..compile.lower import CompileError, compile_plan
 
+    spec = plan.spec
     m = get_metrics()
     tracer = current_tracer()
     plan.compile_attempts += 1
@@ -329,40 +362,25 @@ class Engine:
             res = config
         else:
             res = resolve_execution(config, **overrides)
-        if algorithm is None or algorithm == "auto":
-            # Imported lazily: repro.plan leans on repro.engine.lru, so a
-            # module-level import here would be circular.
-            from ..plan.planner import DEFAULT_ALGORITHM, get_planner
-
-            if algorithm == "auto" or res.autotune:
-                decision = get_planner().decide(
-                    imgs[0].shape, tp.name, res.device)
-                algorithm = decision.algorithm
-                opts = {**decision.opts_dict(), **opts}
-            else:
-                algorithm = DEFAULT_ALGORITHM
-        try:
-            fn = ALGORITHMS[algorithm]
-        except KeyError:
-            raise KeyError(
-                f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
-            ) from None
+        algorithm, opts = choose_algorithm(algorithm, imgs[0].shape, tp, res,
+                                           opts)
         dev = get_device(res.device)
 
-        if has_kernel_spec(algorithm):
+        spec = get_kernel_spec(algorithm) if has_kernel_spec(algorithm) else None
+        if spec is not None:
             # A cold run of a spec'd algorithm is its backend run under the
             # resolved modes as they are (the driver would resolve them
             # again), so every cold launch and the plan key see concrete
             # values.
-            kspec = get_kernel_spec(algorithm)
             executor = get_backend(res.backend)
 
             def run_one(im):
-                return executor.run(kspec, im, tp=tp, device=dev, opts=opts,
+                return executor.run(spec, im, tp=tp, device=dev, opts=opts,
                                     sanitize=res.sanitize,
                                     bounds_check=res.bounds_check)
         else:
             check_baseline_backend(algorithm, config, backend)
+            fn = ALGORITHMS[algorithm]
             call_opts = dict(opts)
             if sanitize is not None:
                 call_opts["sanitize"] = sanitize
@@ -376,13 +394,12 @@ class Engine:
         # over compiled code.
         batchable = res.backend == "gpusim"
 
-        spec_method = BATCH_SPECS.get(algorithm)
         tracer = current_tracer()
         with (tracer.span(f"batch:{algorithm}", category="batch",
                           algorithm=algorithm, device=dev.name, pair=tp.name,
                           n_images=len(imgs), backend=res.backend)
               if tracer is not None else nullcontext()) as sp:
-            if not batchable or res.sanitize or spec_method is None:
+            if not batchable or res.sanitize or spec is None:
                 # Sanitized batches run cold per image so every launch is fully
                 # instrumented and sanitizer reports stay per-image accurate;
                 # baselines have no stacking recipe and the host backend has
@@ -390,8 +407,7 @@ class Engine:
                 run = self._run_fallback(run_one, imgs, tp, dev, algorithm)
             else:
                 run = self._run_batched(
-                    run_one, imgs, tp, dev, algorithm, spec_method, opts, res,
-                    dest,
+                    run_one, imgs, tp, dev, algorithm, spec, opts, res, dest,
                 )
             if dest is not None:
                 dest.finish(run.runs[0])
@@ -480,13 +496,7 @@ class Engine:
         if not imgs:
             raise ValueError("sat_batch requires at least one image")
         for i, im in enumerate(imgs):
-            if not isinstance(im, np.ndarray) or im.ndim != 2:
-                raise ValueError(f"batch image {i} must be a 2-D array")
-            if im.shape[0] == 0 or im.shape[1] == 0:
-                raise ValueError(
-                    f"batch image {i} must have at least one row and one "
-                    f"column, got shape {im.shape}"
-                )
+            check_image(im, f"batch image {i}")
             if im.dtype != imgs[0].dtype:
                 raise ValueError(
                     f"batch images must share one dtype; image {i} is "
@@ -510,9 +520,9 @@ class Engine:
             sector_bytes=dev.gmem_sector_bytes,
         )
 
-    def _run_batched(self, run_one, imgs, tp, dev, algorithm, spec_fn, opts,
-                     res: ExecutionConfig, dest) -> BatchRun:
-        spec: BatchSpec = spec_fn(tp, dev, **opts)
+    def _run_batched(self, run_one, imgs, tp, dev, algorithm,
+                     spec: KernelSpec, opts, res: ExecutionConfig,
+                     dest) -> BatchRun:
         groups = self.scheduler.groups([im.shape for im in imgs], spec.pad)
         runs: List[Optional[SatRun]] = [None] * len(imgs)
         hits = misses = 0
@@ -535,9 +545,8 @@ class Engine:
             # and runs warm instead of double-running the cold compile.
             with plan.lock:
                 hits, misses, modeled_batched = self._run_group_locked(
-                    run_one, imgs, tp, dev, algorithm, spec, opts,
-                    res, grp, plan, runs, hits, misses, modeled_batched,
-                    dest,
+                    run_one, imgs, tp, dev, algorithm, opts, res, grp, plan,
+                    runs, hits, misses, modeled_batched, dest,
                 )
 
         return BatchRun(
@@ -553,8 +562,8 @@ class Engine:
             sector_bytes=dev.gmem_sector_bytes,
         )
 
-    def _run_group_locked(self, run_one, imgs, tp, dev, algorithm, spec,
-                          opts, res, grp, plan, runs,
+    def _run_group_locked(self, run_one, imgs, tp, dev, algorithm, opts,
+                          res, grp, plan, runs,
                           hits, misses, modeled_batched, dest):
         """Cold-record, lower, then run warm chunks of one bucket group
         (caller holds plan.lock).  Adds to and returns the running
@@ -578,7 +587,7 @@ class Engine:
         if not res.bounds_check:
             # Lower the recorded plan once per bucket; a refusal leaves the
             # bucket on the per-image replay path.
-            ensure_compiled(plan, get_kernel_spec(algorithm), tp, opts)
+            ensure_compiled(plan, tp, opts)
         if not pending:
             return hits, misses, modeled_batched
         if tracer is not None:
@@ -592,20 +601,21 @@ class Engine:
         )
         for chunk in self.scheduler.chunk(BucketGroup(grp.bucket, pending),
                                           per_img):
-            modeled_batched += self._run_chunk(plan, spec, tp, dev, algorithm,
-                                               imgs, chunk, runs, res, dest)
+            modeled_batched += self._run_chunk(plan, tp, dev, algorithm,
+                                               imgs, chunk, runs, opts, res,
+                                               dest)
         return hits, misses, modeled_batched
 
     def _run_chunk(
         self,
         plan: SatPlan,
-        spec: BatchSpec,
         tp: TypePair,
         dev,
         algorithm: str,
         imgs: List[np.ndarray],
         chunk: List[int],
         runs: List[Optional[SatRun]],
+        opts: Mapping,
         res: ExecutionConfig,
         dest: Optional["_Destination"],
     ) -> float:
@@ -631,14 +641,14 @@ class Engine:
                           backend=res.backend)
               if tracer is not None else nullcontext()) as sp:
             chunk_imgs = [imgs[i] for i in chunk]
-            out3 = self._run_program(plan, spec, tp, algorithm, chunk_imgs,
-                                     res, dest)
+            out3 = self._run_program(plan, tp, algorithm, chunk_imgs, res,
+                                     dest)
             if out3 is None:
                 out3 = self._replay_images(
-                    plan, spec, tp,
+                    plan, tp,
                     self._stage(plan, "input", chunk_imgs, tp,
                                 tp.input.np_dtype),
-                    res,
+                    opts, res,
                 )
         t_stacked = plan.stacked_time_s.get(depth)
         if t_stacked is None:
@@ -680,7 +690,7 @@ class Engine:
                 blk[:h, w:] = 0
         return x3
 
-    def _run_program(self, plan, spec, tp, algorithm, imgs,
+    def _run_program(self, plan, tp, algorithm, imgs,
                      res, dest) -> Optional[np.ndarray]:
         """The lowered program's output stack for ``imgs``, or ``None``
         when the bucket has no program.
@@ -716,29 +726,31 @@ class Engine:
             dest.land(out3[0])
         get_metrics().counter("compile.hit", algorithm=algorithm).inc(depth)
         timeline_count("compile_hits", depth)
-        for p, lp in zip(spec.passes, plan.launch_plans):
+        for p, lp in zip(plan.spec.passes, plan.launch_plans):
             grid = list(lp.stats.grid)
             grid[_AXIS_INDEX[p.grid_axis]] *= depth
             warm_launch(lp.stats, grid, bounds_check=res.bounds_check)
         return out3
 
     @staticmethod
-    def _replay_images(plan, spec, tp, x3, res) -> np.ndarray:
+    def _replay_images(plan, tp, x3, opts, res) -> np.ndarray:
         """The no-program path: replay every pass per image at the
-        recorded grid.  Kernels write every element of their padded
-        output, so reused staging buffers need no clearing."""
+        recorded grid into a fresh output stack.  Kernels write every
+        element of their padded output, so reused staging buffers need no
+        clearing."""
         acc = tp.output.np_dtype
         out3 = np.empty(x3.shape, dtype=acc)
-        last = len(spec.passes) - 1
+        passes = plan.spec.passes
+        last = len(passes) - 1
         for j in range(x3.shape[0]):
             cur = GlobalArray(x3[j], "batch_input")
-            for pi, (p, lp) in enumerate(zip(spec.passes, plan.launch_plans)):
+            for pi, (p, lp) in enumerate(zip(passes, plan.launch_plans)):
                 h, w = cur.shape
                 buf = out3[j] if pi == last else plan.get_staging(
                     f"pass{pi}", (w, h) if p.transposed else (h, w), acc)
                 dst = GlobalArray(buf, f"batch_{p.name}")
                 replay_kernel(p.kernel, plan=lp,
-                              args=(cur, dst) + tuple(p.extra_args),
+                              args=(cur, dst) + tuple(p.extra_args(opts)),
                               bounds_check=res.bounds_check)
                 cur = dst
         return out3

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..exec.registry import BatchSpec
+from ..exec.registry import KernelSpec
 from ..gpusim.launch import LaunchPlan
 from .lru import LRUCache
 
@@ -70,7 +70,7 @@ class SatPlan:
     """Memoised launch recipe for one plan-cache bucket."""
 
     key: PlanKey
-    spec: BatchSpec
+    spec: KernelSpec
     #: One :class:`~repro.gpusim.launch.LaunchPlan` per kernel pass.
     launch_plans: List[LaunchPlan] = field(default_factory=list)
     #: Reusable padded staging buffers, keyed ``(role, shape, dtype-str)``.
@@ -199,7 +199,7 @@ class LaunchPlanCache:
         with self._lock:
             self.misses += n
 
-    def get_or_create(self, key: PlanKey, spec: BatchSpec) -> SatPlan:
+    def get_or_create(self, key: PlanKey, spec: KernelSpec) -> SatPlan:
         """The plan for ``key``, creating (and possibly evicting) as needed."""
         plan, _ = self._plans.get_or_create(
             key, lambda: SatPlan(key=key, spec=spec))

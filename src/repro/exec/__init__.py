@@ -22,8 +22,6 @@ from .config import (
     set_default_config,
 )
 from .registry import (
-    BatchPass,
-    BatchSpec,
     KernelSpec,
     PassSpec,
     backend_names,
@@ -44,8 +42,6 @@ __all__ = [
     "get_default_config",
     "resolve_execution",
     "set_default_config",
-    "BatchPass",
-    "BatchSpec",
     "KernelSpec",
     "PassSpec",
     "backend_names",

@@ -2,11 +2,13 @@
 
 A :class:`KernelSpec` is the single declaration of how one SAT algorithm
 executes: per pass, the kernel body, the launch geometry (grid/block as a
-function of the padded shape) and the grid axis a batch stacks along.
-The three paper kernels register their specs at import time
-(:mod:`repro.sat.brlt_scanrow` and friends); drivers — the public
-:func:`repro.sat` API, the batched engine, benchmarks — read the spec
-instead of hard-coding geometry per call site.
+function of the padded shape), the kernel arguments as a function of the
+algorithm options and the grid axis a batch stacks along.  The three
+paper kernels register their specs at import time
+(:mod:`repro.sat.brlt_scanrow` and friends).  The backends and the
+engine read the spec itself instead of hard-coding geometry per call
+site: each of the engine's recorded plans holds its algorithm's spec and
+binds the options (``extra_args(opts)``) where a pass launches.
 
 A *backend* says how a cold run of a :class:`KernelSpec` executes.
 Two ship with the package (:mod:`repro.exec.backends`):
@@ -21,7 +23,8 @@ Two ship with the package (:mod:`repro.exec.backends`):
 
 Warm runs are not a backend's business: :mod:`repro.engine` records a
 plan from a ``gpusim`` bucket's cold run and runs its lowered program
-after that.
+after that.  Neither is sharding: ``sat()`` asks :mod:`repro.shard`
+directly whether a call shards.
 
 This module imports nothing from the rest of the package (built-in
 backends are registered lazily on first lookup), so any layer can import
@@ -36,8 +39,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 __all__ = [
     "PassSpec",
     "KernelSpec",
-    "BatchPass",
-    "BatchSpec",
     "register_kernel_spec",
     "get_kernel_spec",
     "kernel_spec_names",
@@ -45,9 +46,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "backend_names",
-    "register_sharder",
-    "get_sharder",
-    "sharder_names",
 ]
 
 
@@ -98,52 +96,6 @@ class KernelSpec:
     #: (row, col) pad multiples — also the plan-cache bucket granularity.
     pad: Tuple[int, int]
     passes: Tuple[PassSpec, ...]
-
-    def batch_spec(self, tp=None, device=None, **opts) -> "BatchSpec":
-        """The batch-stacking recipe, with ``opts`` bound into each pass's
-        kernel arguments (the shape the engine consumes)."""
-        return BatchSpec(
-            pad=self.pad,
-            passes=tuple(
-                BatchPass(
-                    kernel=p.kernel,
-                    name=p.name,
-                    extra_args=p.extra_args(opts),
-                    grid_axis=p.grid_axis,
-                    transposed=p.transposed,
-                )
-                for p in self.passes
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class BatchPass:
-    """One pass of a :class:`BatchSpec`: a :class:`PassSpec` with its
-    kernel arguments bound to a concrete options set.
-
-    All of the paper's kernels parallelise over independent blocks along
-    exactly one grid axis (row bands or column stripes) while carries run
-    along the *other* matrix axis.  A batch of same-bucket images is
-    therefore modeled as a single launch with that grid axis scaled by the
-    batch depth — block-for-block the same work as the solo launches, so
-    the per-image data is bit-identical (see docs/engine.md).
-    """
-
-    kernel: Callable
-    name: str
-    #: Trailing kernel arguments after ``(src, dst)``.
-    extra_args: tuple
-    grid_axis: str
-    transposed: bool
-
-
-@dataclass(frozen=True)
-class BatchSpec:
-    """Batch-execution recipe of one SAT algorithm (all its passes)."""
-
-    pad: Tuple[int, int]
-    passes: Tuple[BatchPass, ...]
 
 
 # -- kernel-spec registry --------------------------------------------------
@@ -217,43 +169,3 @@ def backend_names() -> List[str]:
     """Registered backend names, sorted."""
     _ensure_builtin_backends()
     return sorted(_BACKENDS)
-
-
-# -- sharder registry ------------------------------------------------------
-#
-# A *sharder* splits one oversized call into a tiled multi-device run.  It
-# exposes ``wants(shape, shard)`` (should this call shard?) and
-# ``run(image, **kwargs)`` (execute it).  The public :func:`repro.sat.api.sat`
-# consults the default sharder so gigapixel inputs shard transparently;
-# the engine's ``run_batch`` and the drivers in ``ALGORITHMS`` (which the
-# harness calls) bypass it.
-
-_SHARDERS: Dict[str, object] = {}
-
-
-def register_sharder(name: str, sharder) -> None:
-    """Register a sharder under ``name`` (see :mod:`repro.shard`)."""
-    _SHARDERS[name] = sharder
-
-
-def _ensure_builtin_sharders() -> None:
-    if "tiled" not in _SHARDERS:
-        # Importing the package registers the tiled sharder.
-        import repro.shard  # noqa: F401
-
-
-def get_sharder(name: str = "tiled"):
-    """The sharder registered under ``name``; ``ValueError`` if unknown."""
-    _ensure_builtin_sharders()
-    try:
-        return _SHARDERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sharder {name!r}; registered: {sorted(_SHARDERS)}"
-        ) from None
-
-
-def sharder_names() -> List[str]:
-    """Registered sharder names, sorted."""
-    _ensure_builtin_sharders()
-    return sorted(_SHARDERS)

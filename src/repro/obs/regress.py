@@ -237,11 +237,15 @@ def fresh_simulator_metrics(entry: Mapping[str, Any]) -> Dict[str, float]:
 def fresh_serve_metrics(entry: Mapping[str, Any]) -> Dict[str, float]:
     """Re-measure the serving figures of one BENCH_serve entry.
 
-    A small same-shape closed loop reproduces the headline
-    ``coalesce_ratio`` (deterministic given concurrency > workers) and a
-    fresh ``p95_ms`` (wall clock, so warn-only by default).  The modes are
-    pinned like the other fresh measurements: a sanitized ambient profile
-    would otherwise serialise workers and distort both figures.
+    A small same-shape closed loop re-measures the headline
+    ``coalesce_ratio`` and a fresh ``p95_ms`` (wall clock, so warn-only by
+    default).  The ratio is not deterministic: how many requests queue
+    behind a busy worker depends on thread timing, so it varies from run
+    to run and can read well below the recorded value.  That is why CI's
+    strict gate leaves ``BENCH_serve.json`` out.  The
+    modes are pinned like the other fresh measurements: a sanitized
+    ambient profile would otherwise serialise workers and distort both
+    figures.
     """
     import numpy as np
 

@@ -28,9 +28,12 @@ from ..baselines.cpu import sat_cpu_numpy, sat_cpu_serial
 from ..baselines.npp_sat import sat_npp
 from ..baselines.opencv_sat import sat_opencv
 from ..dtypes import TYPE_PAIRS, TypePair, parse_pair
-from ..exec.config import ExecutionConfig, resolve_execution
-from ..exec.registry import get_sharder, has_kernel_spec
+# ``resolve_execution`` is bound here only for perfbench, whose span
+# tests look the name up in this module; sat() itself resolves nothing.
+from ..exec.config import ExecutionConfig, resolve_execution  # noqa: F401
+from ..exec.registry import has_kernel_spec
 from ..obs.trace import resolve_tracer, tracing
+from ..plan.planner import DEFAULT_ALGORITHM
 from .brlt_scanrow import sat_brlt_scanrow
 from .common import SatRun
 from .naive import exclusive_from_inclusive
@@ -64,11 +67,6 @@ BASELINE_ALGORITHMS: Dict[str, Callable[..., SatRun]] = {
 }
 
 ALGORITHMS: Dict[str, Callable[..., SatRun]] = {**PAPER_ALGORITHMS, **BASELINE_ALGORITHMS}
-
-# Imported after the kernel modules above so their spec registration has
-# happened; repro.plan pulls in repro.engine, whose BATCH_SPECS snapshot
-# needs the registry populated.
-from ..plan.planner import DEFAULT_ALGORITHM  # noqa: E402
 
 
 def _resolve_pair(image: np.ndarray, pair) -> TypePair:
@@ -122,6 +120,12 @@ def sat(
     ``host`` and baseline calls execute in full every time, and warm
     bounds-checked calls replay the recorded launches.  For a fresh
     interpreted run, call the driver in :data:`ALGORITHMS` directly.
+
+    ``sat()`` itself only checks the image and decides whether to shard.
+    The engine, or for a sharded call :func:`~repro.shard.sharded_sat`,
+    resolves the execution config once and chooses the algorithm under
+    it with :func:`repro.engine.batch.choose_algorithm`, the choice
+    ``sat_batch()`` and :class:`~repro.serve.SatService` make too.
 
     Parameters
     ----------
@@ -195,66 +199,35 @@ def sat(
     SatRun
         Output matrix plus per-kernel launch statistics and modeled time.
     """
-    if image.ndim != 2:
-        raise ValueError(f"SAT input must be 2-D, got shape {image.shape}")
-    if image.shape[0] == 0 or image.shape[1] == 0:
-        raise ValueError(
-            f"SAT input must have at least one row and one column, got shape "
-            f"{image.shape}"
-        )
-    tp = _resolve_pair(image, pair)
-    chosen = algorithm is None or algorithm == "auto"
-    if not chosen and algorithm not in ALGORITHMS:
-        raise KeyError(
-            f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
-        )
-    # The planner and the default only ever pick a spec'd kernel.
-    spec_d = chosen or has_kernel_spec(algorithm)
-    if shard not in (None, False) and not spec_d:
-        raise ValueError(
-            f"algorithm {algorithm!r} has no kernel spec and cannot run sharded"
-        )
+    from ..engine.batch import check_image, run_single
+    from ..shard.executor import above_threshold, sharded_sat
+
+    check_image(image)
+    if shard is None:
+        # Only kernels with a spec shard on their own; the planner and the
+        # default only ever pick one.
+        sharded = ((algorithm is None or algorithm == "auto"
+                    or has_kernel_spec(algorithm))
+                   and above_threshold(image.shape))
+    else:
+        sharded = shard is not False
     scope = (
         tracing(resolve_tracer(trace), enabled=trace is not False)
         if trace is not None else nullcontext()
     )
     with scope:
-        if (shard is not False and spec_d
-                and get_sharder().wants(image.shape, shard)):
-            # Oversized (or explicitly sharded) inputs run tiled across
-            # the simulated device set — same output, one carry pass (see
-            # repro.shard / docs/sharding.md).  The sharder runs one
-            # algorithm on every tile, so it is chosen here.
-            if chosen:
-                res = resolve_execution(config, backend=backend,
-                                        device=device, autotune=autotune)
-                if algorithm == "auto" or res.autotune:
-                    # Model-driven selection: the planner picks the kernel
-                    # and opts with the lowest modeled time; explicit
-                    # caller opts still win.  The decision is deterministic
-                    # and cached, so this is bit-identical to spelling the
-                    # choice by hand.
-                    from ..plan import get_planner
-
-                    decision = get_planner().decide(
-                        image.shape, tp.name, res.device)
-                    algorithm = decision.algorithm
-                    opts = {**decision.opts_dict(), **opts}
-                else:
-                    algorithm = DEFAULT_ALGORITHM
-            run = get_sharder().run(
-                image, pair=tp, algorithm=algorithm, shard=shard,
-                backend=backend, config=config, device=device, **opts,
+        # Oversized (or explicitly sharded) inputs run tiled across the
+        # simulated device set (see repro.shard / docs/sharding.md);
+        # everything else is a one-image batch on the default engine.
+        if sharded:
+            run = sharded_sat(
+                image, pair=pair, algorithm=algorithm, device=device,
+                backend=backend, config=config, shard=shard,
+                autotune=autotune, **opts,
             )
         else:
-            # Everything else is a one-image batch on the default engine,
-            # which chooses the algorithm itself: warm buckets run their
-            # lowered program; cold, sanitized, host and baseline calls
-            # execute in full.
-            from ..engine.batch import run_single
-
             run = run_single(
-                image, pair=tp, algorithm=algorithm, backend=backend,
+                image, pair=pair, algorithm=algorithm, backend=backend,
                 config=config, device=device, autotune=autotune, **opts,
             )
     if exclusive:

@@ -24,7 +24,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..dtypes import DType
-from ..exec.registry import BatchPass, BatchSpec  # noqa: F401 — compat re-export
 from ..gpusim.device import DeviceSpec
 from ..gpusim.launch import LaunchStats
 
@@ -35,8 +34,6 @@ __all__ = [
     "pad_matrix",
     "crop",
     "SatRun",
-    "BatchPass",
-    "BatchSpec",
 ]
 
 #: Bookkeeping registers (indices, carries, pointers) beyond the 32 cached

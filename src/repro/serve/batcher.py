@@ -55,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine.batch import check_baseline_backend
+from ..engine.batch import check_baseline_backend, check_image, choose_algorithm
 from ..engine.scheduler import BatchScheduler
 from ..exec.config import ExecutionConfig
 from ..exec.registry import get_kernel_spec, has_kernel_spec
@@ -226,28 +226,10 @@ class DynamicBatcher:
         with explicit requests for the same concrete configuration and
         workers only ever see concrete algorithms.
         """
-        from ..sat.api import ALGORITHMS, _resolve_pair
+        from ..sat.api import _resolve_pair
 
-        algorithm = request.algorithm
-        opts = dict(request.opts)
-        auto = algorithm is None or algorithm == "auto"
-        if auto and not (algorithm == "auto" or resolved.autotune):
-            from ..plan.planner import DEFAULT_ALGORITHM
-
-            algorithm, auto = DEFAULT_ALGORITHM, False
-        if not auto and algorithm not in ALGORITHMS:
-            raise KeyError(
-                f"unknown algorithm {algorithm!r}; available: "
-                f"{sorted(ALGORITHMS)}"
-            )
         img = request.image
-        if not isinstance(img, np.ndarray) or img.ndim != 2:
-            raise ValueError("request image must be a 2-D numpy array")
-        if img.shape[0] == 0 or img.shape[1] == 0:
-            raise ValueError(
-                f"request image must have at least one row and one column, "
-                f"got shape {img.shape}"
-            )
+        check_image(img, "request image")
         tp = _resolve_pair(img, request.pair)
         if img.dtype != tp.input.np_dtype:
             raise ValueError(
@@ -255,13 +237,8 @@ class DynamicBatcher:
                 f"{tp.name} (input {tp.input.np_dtype}); cast at the client "
                 f"so coalescing keys stay exact"
             )
-        if auto:
-            from ..plan import get_planner
-
-            decision = get_planner().decide(img.shape, tp.name,
-                                            resolved.device)
-            algorithm = decision.algorithm
-            opts = {**decision.opts_dict(), **opts}
+        algorithm, opts = choose_algorithm(request.algorithm, img.shape, tp,
+                                           resolved, request.opts)
         if has_kernel_spec(algorithm):
             pad = get_kernel_spec(algorithm).pad
             bucket = BatchScheduler.bucket_of(img.shape, pad)

@@ -13,20 +13,19 @@ A sharded run returns the materialised table; rectangle queries on it go
 through :func:`repro.rect_sums` like any other SAT.
 
 ``sat()`` shards transparently above :data:`DEFAULT_THRESHOLD_ELEMS`
-(override with ``REPRO_SHARD_THRESHOLD`` or ``sat(shard=...)``) — the
-importable hook lives in :mod:`repro.exec.registry`.
+(override with ``REPRO_SHARD_THRESHOLD`` or ``sat(shard=...)``): it asks
+:func:`above_threshold` and then calls :func:`sharded_sat`.
 
 See ``docs/sharding.md``.
 """
 
-from ..exec.registry import register_sharder
 from .descriptor import A, DescriptorChain, LookbackStats, P, X
 from .executor import (
     DEFAULT_THRESHOLD_ELEMS,
     ShardConfig,
     ShardRun,
     ShardSeriesRun,
-    TiledSharder,
+    above_threshold,
     sharded_sat,
     sharded_sat_series,
 )
@@ -41,10 +40,7 @@ __all__ = [
     "ShardConfig",
     "ShardRun",
     "ShardSeriesRun",
-    "TiledSharder",
+    "above_threshold",
     "sharded_sat",
     "sharded_sat_series",
 ]
-
-#: The default sharder ``sat()`` consults through the exec registry.
-register_sharder("tiled", TiledSharder())

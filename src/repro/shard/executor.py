@@ -70,16 +70,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..dtypes import TypePair, parse_pair
-from ..engine.batch import run_single
+from ..dtypes import TypePair
+from ..engine.batch import check_image, choose_algorithm, run_single
 from ..engine.scheduler import TilePlan, TileScheduler
 from ..exec.config import ExecutionConfig, resolve_execution
-from ..exec.registry import get_kernel_spec
+from ..exec.registry import get_kernel_spec, has_kernel_spec
 from ..gpusim.device import get_device, parse_device_set
 from ..gpusim.stream import D2D_ALPHA, D2D_BW, H2D_BW, DeviceSet, SimDevice
 from ..obs.context import timeline_add
 from ..obs.metrics import get_metrics
 from ..obs.trace import resolve_tracer
+from ..sat.api import _resolve_pair
 from ..sat.common import SatRun
 from .descriptor import DescriptorChain, LookbackStats
 
@@ -88,9 +89,9 @@ __all__ = [
     "ShardConfig",
     "ShardRun",
     "ShardSeriesRun",
+    "above_threshold",
     "sharded_sat",
     "sharded_sat_series",
-    "TiledSharder",
 ]
 
 #: Images strictly larger than this many elements shard by default —
@@ -256,14 +257,6 @@ def _scheduler_for(cfg: ShardConfig) -> TileScheduler:
     return sched
 
 
-def _resolve_pair(image: np.ndarray, pair) -> TypePair:
-    if pair is None:
-        from ..sat.api import _resolve_pair as resolve
-
-        return resolve(image, None)
-    return parse_pair(pair)
-
-
 def _issue_carries(out: np.ndarray, p,
                    acc) -> Tuple[np.ndarray, np.ndarray]:
     """An integer tile's ``(left, top)`` carries, read from the final
@@ -301,25 +294,39 @@ def _kernel_cost_s(run: SatRun, shape: Tuple[int, int], tp: TypePair,
     return n_passes * dev.spec.launch_overhead_s + traffic / dev.spec.global_bw
 
 
-def _device_configs(dset: DeviceSet, config, backend, device,
-                    opts: Dict) -> Dict[str, ExecutionConfig]:
-    """The call's execution config, resolved once, with each device of
-    ``dset`` swapped in.  The ``sanitize``/``bounds_check`` knobs move
-    from ``opts`` into the resolution."""
-    res = resolve_execution(config, backend=backend, device=device,
-                            sanitize=opts.pop("sanitize", None),
-                            bounds_check=opts.pop("bounds_check", None))
+def above_threshold(shape: Tuple[int, int]) -> bool:
+    """Whether :func:`repro.sat` shards an image of ``shape`` on its own:
+    it has strictly more elements than ``ShardConfig.from_env()``'s
+    threshold."""
+    threshold = ShardConfig.from_env().threshold_elems
+    return int(shape[0]) * int(shape[1]) > threshold
+
+
+def _resolve(config, backend, device, opts: Dict,
+             autotune: Optional[bool] = None) -> ExecutionConfig:
+    """The call's execution config, resolved once.  The ``sanitize``/
+    ``bounds_check`` knobs move from ``opts`` into the resolution."""
+    return resolve_execution(config, backend=backend, device=device,
+                             autotune=autotune,
+                             sanitize=opts.pop("sanitize", None),
+                             bounds_check=opts.pop("bounds_check", None))
+
+
+def _device_configs(dset: DeviceSet,
+                    res: ExecutionConfig) -> Dict[str, ExecutionConfig]:
+    """``res`` with each device of ``dset`` swapped in."""
     return {d.spec.name: res.with_fields(device=d.spec.name) for d in dset}
 
 
 def sharded_sat(
     image: np.ndarray,
     pair=None,
-    algorithm: str = "brlt_scanrow",
+    algorithm: Optional[str] = "brlt_scanrow",
     device=None,
     backend=None,
     config=None,
     shard=None,
+    autotune: Optional[bool] = None,
     **opts,
 ) -> ShardRun:
     """Tiled SAT over a set of simulated devices, single-pass carries.
@@ -328,18 +335,29 @@ def sharded_sat(
     accumulators (wraparound addition is associative), to float summation
     reordering for ``32f``/``64f`` pairs.  See :class:`ShardConfig` for
     the ``shard=`` knobs and module docs for the carry protocol.
+
+    The call's execution config resolves once, ``autotune`` included.
+    ``algorithm=None`` or ``"auto"`` is chosen under it exactly as
+    :func:`repro.sat` chooses (the engine's ``choose_algorithm``), and
+    every tile runs the chosen algorithm as a one-image engine batch
+    under that config with its device swapped in.  Only algorithms with
+    a kernel spec shard; any other raises ``ValueError``.
     """
-    if image.ndim != 2:
-        raise ValueError(f"sharded SAT input must be 2-D, got {image.shape}")
+    check_image(image)
     cfg = ShardConfig.coerce(shard, device=device)
     cfg = replace(cfg, tile_shape=cfg.resolved_tile(image.shape))
     tp = _resolve_pair(image, pair)
-    spec = get_kernel_spec(algorithm)  # sharding needs a spec'd algorithm
-    n_passes = len(spec.passes)
+    res = _resolve(config, backend, device, opts, autotune)
+    algorithm, opts = choose_algorithm(algorithm, image.shape, tp, res, opts)
+    if not has_kernel_spec(algorithm):
+        raise ValueError(
+            f"algorithm {algorithm!r} has no kernel spec and cannot run sharded"
+        )
+    n_passes = len(get_kernel_spec(algorithm).passes)
 
     sched = _scheduler_for(cfg)
     dset = DeviceSet.from_spec(cfg.devices, cfg.streams_per_device)
-    configs = _device_configs(dset, config, backend, device, opts)
+    configs = _device_configs(dset, res)
     plan = sched.plan(image.shape, len(dset), cfg.streams_per_device)
     nr, nc = plan.grid
     tracer = resolve_tracer(None)
@@ -598,7 +616,7 @@ def sharded_sat_series(
     spec = get_kernel_spec(algorithm)
     n_passes = len(spec.passes)
     dset = DeviceSet.from_spec(cfg.devices, cfg.streams_per_device)
-    configs = _device_configs(dset, config, backend, device, opts)
+    configs = _device_configs(dset, _resolve(config, backend, device, opts))
     tracer = resolve_tracer(None)
 
     in_size, acc_size = tp.input.size, tp.output.size
@@ -686,25 +704,3 @@ def sharded_sat_series(
         outputs=outputs, report=rep, algorithm=algorithm, pair=tp.name,
         backend=run.backend, temporal=temporal,
     )
-
-
-class TiledSharder:
-    """The registry hook :func:`repro.sat.api.sat` consults.
-
-    ``wants`` decides transparent sharding; ``run`` executes it.  The
-    object is stateless — configuration comes from the ``shard=`` value
-    and the environment on every call.
-    """
-
-    name = "tiled"
-
-    def wants(self, shape: Tuple[int, int], shard=None) -> bool:
-        if shard is False:
-            return False
-        if shard is not None:
-            return True
-        threshold = ShardConfig.from_env().threshold_elems
-        return int(shape[0]) * int(shape[1]) > threshold
-
-    def run(self, image, **kwargs) -> ShardRun:
-        return sharded_sat(image, **kwargs)

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from repro import ALGORITHMS, sat_batch
-from repro.engine import BATCH_SPECS, Engine
+from repro.engine import Engine
+from repro.exec.registry import kernel_spec_names
 from repro.sat.naive import exclusive_from_inclusive, sat_reference
 
-PAPER_ALGS = sorted(BATCH_SPECS)
+PAPER_ALGS = kernel_spec_names()
 
 
 @pytest.fixture(autouse=True)

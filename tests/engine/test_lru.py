@@ -145,13 +145,11 @@ class TestCallSitesKeepTheirNames:
     metric names they did before the extraction."""
 
     def test_launch_plan_cache_prefix(self):
-        from repro.dtypes import parse_pair
-        from repro.engine import BATCH_SPECS, LaunchPlanCache, PlanKey
-        from repro.gpusim.device import get_device
+        from repro.engine import LaunchPlanCache, PlanKey
+        from repro.exec.registry import get_kernel_spec
 
         cache = LaunchPlanCache(max_plans=1)
-        spec = BATCH_SPECS["brlt_scanrow"](parse_pair("8u32s"),
-                                           get_device("P100"))
+        spec = get_kernel_spec("brlt_scanrow")
         for bucket in ((64, 64), (96, 96)):
             key = PlanKey.make("brlt_scanrow", "P100", "8u32s", bucket, {})
             cache.get_or_create(key, spec)

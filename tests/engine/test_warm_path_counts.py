@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import BATCH_SPECS, Engine
+from repro.engine import Engine
 from repro.engine import batch as batch_mod
 from repro.exec.config import ExecutionConfig, execution
-from repro.exec.registry import get_kernel_spec
+from repro.exec.registry import get_kernel_spec, kernel_spec_names
 from repro.gpusim import launch as launch_mod
 from repro.sat.api import sat
 
@@ -62,14 +62,14 @@ def _warm_batch(counts, algorithm, bounds_check):
     return run
 
 
-@pytest.mark.parametrize("algorithm", sorted(BATCH_SPECS))
+@pytest.mark.parametrize("algorithm", kernel_spec_names())
 def test_warm_batch_builds_no_kernel_context(counts, algorithm):
     run = _warm_batch(counts, algorithm, bounds_check=False)
     assert counts == {"launch_ctx": 0, "replay_ctx": 0, "replay_kernel": 0}
     assert {r.backend for r in run.runs} == {"gpusim"}
 
 
-@pytest.mark.parametrize("algorithm", sorted(BATCH_SPECS))
+@pytest.mark.parametrize("algorithm", kernel_spec_names())
 def test_bounds_checked_warm_batch_replays_per_image(counts, algorithm):
     _warm_batch(counts, algorithm, bounds_check=True)
     n_passes = len(get_kernel_spec(algorithm).passes)

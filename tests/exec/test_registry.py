@@ -6,7 +6,6 @@ import pytest
 from repro.dtypes import parse_pair
 from repro.exec import registry
 from repro.exec.registry import (
-    BatchPass,
     KernelSpec,
     backend_names,
     get_backend,
@@ -65,22 +64,23 @@ class TestKernelSpecs:
         assert g1 == (1, 2, 1) and b1 == (1024, 1, 1)   # warp per row
         assert g2 == (2, 1, 1) and b2 == (32, 2, 1)     # 32-col stripes
 
-    def test_batch_spec_binds_opts(self):
-        spec = get_kernel_spec("brlt_scanrow")
-        bs = spec.batch_spec(parse_pair("8u32s"), get_device("P100"),
-                             brlt_stride=17)
-        assert bs.pad == spec.pad
-        assert [p.name for p in bs.passes] == [p.name for p in spec.passes]
-        for p in bs.passes:
-            assert isinstance(p, BatchPass)
-            assert p.extra_args == (17, True)
-
     def test_geometry_declared_exactly_once(self):
         """No module besides the spec's own may declare launch geometry:
-        the compat ``*_pass`` helpers and the engine both read the spec."""
-        import repro.engine.batch as eng
+        every plan the engine records holds the registered spec itself."""
+        import numpy as np
+
+        from repro.engine import Engine
+
+        eng = Engine()
         for name in PAPER_ALGS:
-            assert eng.BATCH_SPECS[name].__self__ is get_kernel_spec(name)
+            eng.run_batch([np.ones((40, 40), np.uint8)], pair="8u32s",
+                          algorithm=name, backend="gpusim", sanitize=False)
+        plans = {k.algorithm: eng.cache.get_or_create(k, None)
+                 for k in eng.cache.keys()}
+        assert sorted(plans) == PAPER_ALGS
+        for name, plan in plans.items():
+            assert plan.recorded
+            assert plan.spec is get_kernel_spec(name)
 
 
 class TestBackends:

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import ALGORITHMS, integral, sat
+from repro import ALGORITHMS, integral, sat, sat_batch
+from repro.engine import Engine
+from repro.engine import batch as batch_mod
+from repro.exec.config import execution, resolve_execution
+from repro.plan import DEFAULT_ALGORITHM, get_planner
 from repro.sat.naive import sat_reference
+from repro.serve import SatRequest
+from repro.serve.batcher import DynamicBatcher
+from repro.shard import ShardRun
 
 
 class TestDispatch:
@@ -167,3 +174,56 @@ class TestM40Device:
         tm = sat(img, pair="8u32s", device="M40").time_us
         tp = sat(img, pair="8u32s", device="P100").time_us
         assert tm > tp
+
+
+class TestEntryPointsAgree:
+    """Whole and sharded ``sat()``, ``sat_batch()`` and the serve
+    batcher's ``compat_key_of`` choose one algorithm, with the same opts,
+    for the same call."""
+
+    SHAPE = (150, 200)
+
+    @pytest.mark.parametrize("autotune", [False, True])
+    @pytest.mark.parametrize("algorithm, opts", [
+        (None, {}),
+        ("auto", {}),
+        ("scanrow_brlt", {"scan": "ladner_fischer"}),
+    ])
+    def test_same_choice(self, monkeypatch, algorithm, opts, autotune):
+        monkeypatch.setenv("REPRO_SHARD_THRESHOLD", str(64 * 64))
+        monkeypatch.setenv("REPRO_SHARD_TILE", "64x64")
+        monkeypatch.setenv("REPRO_SHARD_DEVICES", "2xP100")
+        # A fresh default engine, so the plan keys sat() records are seen.
+        monkeypatch.setattr(batch_mod, "_default_engine", Engine())
+        img = np.random.default_rng(3).integers(
+            0, 256, self.SHAPE).astype(np.uint8)
+        kw = dict(pair="8u32s", algorithm=algorithm, autotune=autotune, **opts)
+        with execution(sanitize=False, bounds_check=False, device="P100"):
+            whole = sat(img, shard=False, **kw)
+            whole_keys = set(batch_mod.default_engine().cache.keys())
+            sharded = sat(img, **kw)
+            shard_keys = (set(batch_mod.default_engine().cache.keys())
+                          - whole_keys)
+            eng = Engine()
+            batch = sat_batch([img], engine=eng, **kw)
+            key = DynamicBatcher.compat_key_of(
+                SatRequest(img, pair="8u32s", algorithm=algorithm, opts=opts),
+                resolve_execution(autotune=autotune))
+        if algorithm is None and not autotune:
+            want, want_opts = DEFAULT_ALGORITHM, {}
+        elif algorithm in (None, "auto"):
+            decision = get_planner().decide(self.SHAPE, "8u32s", "P100")
+            want, want_opts = decision.algorithm, decision.opts_dict()
+        else:
+            want, want_opts = algorithm, opts
+        assert isinstance(sharded, ShardRun)
+        assert not isinstance(whole, ShardRun)
+        chosen = [whole.algorithm, sharded.algorithm, batch.algorithm,
+                  key.algorithm]
+        assert chosen == [want] * 4
+        want_key_opts = tuple(sorted(want_opts.items()))
+        assert key.opts == want_key_opts
+        plan_keys = whole_keys | shard_keys | set(eng.cache.keys())
+        assert whole_keys and shard_keys and eng.cache.keys()
+        assert {(k.algorithm, tuple(o for o in k.opts if o[0] != "bounds_check"))
+                for k in plan_keys} == {(want, want_key_opts)}

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from repro import sat, sat_batch
-from repro.dtypes import parse_pair
-from repro.engine import BATCH_SPECS, Engine, LaunchPlanCache, PlanKey
-from repro.gpusim.device import get_device
+from repro.engine import Engine, LaunchPlanCache, PlanKey
+from repro.exec.registry import get_kernel_spec
 
 
-def _spec(pair="8u32s", device="P100"):
-    return BATCH_SPECS["brlt_scanrow"](parse_pair(pair), get_device(device))
+def _spec():
+    return get_kernel_spec("brlt_scanrow")
 
 
 def _key(bucket=(64, 64)):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from repro.exec.config import execution
-from repro.exec.registry import get_sharder, sharder_names
 from repro.sat.api import sat
 from repro.shard import (
     DEFAULT_THRESHOLD_ELEMS,
     ShardConfig,
     ShardRun,
+    above_threshold,
     sharded_sat_series,
 )
 
@@ -28,12 +28,6 @@ def small_threshold(monkeypatch):
 
 
 class TestTransparentRouting:
-    def test_sharder_is_registered(self):
-        assert "tiled" in sharder_names()
-        assert get_sharder("tiled") is get_sharder()
-        with pytest.raises(ValueError, match="tiled"):
-            get_sharder("bogus")
-
     def test_large_image_shards_automatically(self, small_threshold):
         rng = np.random.default_rng(0)
         img = rng.integers(0, 255, size=(150, 200)).astype(np.uint8)
@@ -75,14 +69,14 @@ class TestTransparentRouting:
 
     @pytest.mark.parametrize("algorithm, resolves", [
         ("brlt_scanrow", {"repro.shard.executor": 1}),
-        (None, {"repro.sat.api": 1, "repro.shard.executor": 1}),
+        (None, {"repro.shard.executor": 1}),
     ])
     def test_warm_sharded_call_resolves_no_tile(self, small_threshold,
                                                 monkeypatch, algorithm,
                                                 resolves):
         """Tiles run under the call's config, resolved once with each
-        tile's device swapped in; sat() resolves only to choose the
-        algorithm."""
+        tile's device swapped in; the algorithm is chosen under that same
+        resolution, so sat() itself never resolves."""
         img = np.ones((150, 200), dtype=np.uint8)
         with execution(sanitize=False, bounds_check=False):
             sat(img, pair="8u32s", algorithm=algorithm)  # cold tiles
@@ -92,9 +86,8 @@ class TestTransparentRouting:
         assert dict(calls) == resolves
 
     def test_default_threshold_spares_benchmark_sizes(self):
-        w = get_sharder()
-        assert not w.wants((2048, 2048))          # 2^22 == threshold
-        assert w.wants((4096, 4096))
+        assert not above_threshold((2048, 2048))  # 2^22 == threshold
+        assert above_threshold((4096, 4096))
         assert DEFAULT_THRESHOLD_ELEMS == 1 << 22
 
     def test_specless_algorithm_rejects_shard_request(self):
