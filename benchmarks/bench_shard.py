@@ -64,9 +64,11 @@ def _host_reference(img: np.ndarray) -> np.ndarray:
 
     Accumulates in int32 like the kernels: wraparound addition is
     associative, so the bits equal a wide accumulation cast down, without
-    holding int64 copies of a gigapixel image."""
-    rows = np.cumsum(img, axis=0, dtype=np.int32)
-    return np.cumsum(rows, axis=1, dtype=np.int32)
+    holding int64 copies of a gigapixel image.  Both scans run in place
+    on one int32 copy: a casting ``cumsum`` would buffer a second one."""
+    rows = img.astype(np.int32)
+    np.cumsum(rows, axis=0, out=rows)
+    return np.cumsum(rows, axis=1, out=rows)
 
 
 def _check_single_pass(rep: dict) -> None:

@@ -45,6 +45,7 @@ Anything the compiler cannot prove it can lower — a pass without a
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Optional, Sequence
 
@@ -108,6 +109,10 @@ class CompiledPlan:
     executions: int = 0
     #: Transposes materialised across all runs (elided ones don't count).
     transposes: int = 0
+    #: Guards the two counters: the engine runs a program on several
+    #: stacks at once (depth slices, warm in-place tiles).
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False, compare=False)
 
     def run(self, stack: np.ndarray) -> np.ndarray:
         """Execute all passes over a padded ``(depth, H, W)`` stack.
@@ -123,6 +128,7 @@ class CompiledPlan:
         """
         cur = stack
         t = False
+        transposes = 0
         for p in self.passes:
             want_cols = p.col_major != t
             if want_cols and p.cols is not None:
@@ -131,15 +137,17 @@ class CompiledPlan:
                 cur = p.rows(cur)
             else:
                 cur = transpose_scatter(cur)
-                self.transposes += 1
+                transposes += 1
                 t = not t
                 want_cols = p.col_major != t
                 cur = p.cols(cur) if want_cols else p.rows(cur)
             t = t != p.transposed
         if t:
             cur = transpose_scatter(cur)
-            self.transposes += 1
-        self.executions += 1
+            transposes += 1
+        with self._lock:
+            self.transposes += transposes
+            self.executions += 1
         return cur
 
 

@@ -187,10 +187,10 @@ def han_carlson_lowered(x: np.ndarray) -> np.ndarray:
 
 
 def serial_chunk_scan(x: np.ndarray) -> np.ndarray:
-    """Alg. 2 on a ``(..., 32)`` chunk: ``np.add.accumulate`` is defined
-    sequentially, bit-identical to the per-register loop.  The dtype is
-    pinned — accumulate would otherwise widen sub-platform ints."""
-    return np.add.accumulate(x, axis=-1, dtype=x.dtype)
+    """Alg. 2 on a ``(..., 32)`` chunk, in place: ``np.add.accumulate`` is
+    defined sequentially, bit-identical to the per-register loop.  The
+    dtype is pinned — accumulate would otherwise widen sub-platform ints."""
+    return np.add.accumulate(x, axis=-1, dtype=x.dtype, out=x)
 
 
 #: Lane-wise warp-scan emulators on ``(..., 32)`` arrays, keyed by the
@@ -243,8 +243,10 @@ def chunked_row_scan(x: np.ndarray, wpb: int,
     lead = x.shape[:-1]
     nc = x.shape[-1] // 32
     s = inner(np.ascontiguousarray(x).reshape(lead + (nc, 32)))
-    # The final `data + off` is a real addition even when zero.
-    return (s + _strip_offsets(s[..., 31], wpb)[..., None]).reshape(x.shape)
+    # The final `data + off` is a real addition even when zero.  ``s`` is
+    # the scanned stack or a fresh array, so it lands in place.
+    np.add(s, _strip_offsets(s[..., 31], wpb)[..., None], out=s)
+    return s.reshape(x.shape)
 
 
 def chunked_col_scan(x: np.ndarray, wpb: int) -> np.ndarray:

@@ -18,6 +18,8 @@ as one.  The engine removes both costs:
   that axis are fully independent in all three paper kernels (carries
   run along the other axis), so the per-image results are bit-identical
   to solo runs while the per-launch host overhead is paid once per chunk.
+  For the same reason a deep, large warm stack runs its lowered program
+  one depth slice per core (:mod:`repro.engine.pool`).
 * **One warm path**: once a ``gpusim`` bucket is recorded, its warm
   chunks run the plan's lowered program (:mod:`repro.compile`); only
   buckets without a program (bounds-checked, lowering refused, program
@@ -55,6 +57,7 @@ from ..gpusim.global_mem import GlobalArray
 from ..gpusim.launch import replay_kernel, warm_launch
 from ..sat.common import SatRun
 from ..sat.naive import exclusive_from_inclusive
+from . import pool
 from .plan import LaunchPlanCache, PlanKey, SatPlan
 from .scheduler import BatchScheduler, BucketGroup
 
@@ -537,6 +540,17 @@ class Engine:
             key = PlanKey.make(algorithm, dev.name, tp.name, grp.bucket,
                                key_opts)
             plan = self.cache.get_or_create(key, spec)
+            if (dest is not None and plan.compiled is not None
+                    and imgs[0].shape == grp.bucket):
+                # A warm run that computes in its destination reads only
+                # recorded plan state, so it runs without the plan's lock
+                # (sharded tiles run at once); it takes the lock only if
+                # its program fails and it falls back to staging.
+                hits += 1
+                modeled_batched = self._run_warm(
+                    plan, tp, dev, algorithm, imgs, grp.indices, runs, opts,
+                    res, dest, modeled_batched, lock=plan.lock)
+                continue
             # One thread per plan: the cold recording run, lowering and the
             # warm chunks all mutate plan state (launch plans, staging
             # buffers, the compiled program).  Workers on *different*
@@ -590,21 +604,33 @@ class Engine:
             ensure_compiled(plan, tp, opts)
         if not pending:
             return hits, misses, modeled_batched
+        hits += len(pending)
+        modeled_batched = self._run_warm(plan, tp, dev, algorithm, imgs,
+                                         pending, runs, opts, res, dest,
+                                         modeled_batched)
+        return hits, misses, modeled_batched
+
+    def _run_warm(self, plan, tp, dev, algorithm, imgs, pending, runs, opts,
+                  res, dest, modeled_batched, lock=None) -> float:
+        """Run the warm images ``pending`` of one bucket in chunks; adds
+        their modeled time to ``modeled_batched`` in chunk order and
+        returns it.  ``lock`` is the plan's lock when the caller does not
+        hold it."""
+        tracer = current_tracer()
         if tracer is not None:
             tracer.event("plan.hit", category="batch",
-                         bucket=grp.bucket, n_images=len(pending),
+                         bucket=plan.key.bucket, n_images=len(pending),
                          algorithm=algorithm)
-        hits += len(pending)
         self.cache.note_hit(len(pending))
         per_img = self.scheduler.stack_bytes(
-            grp.bucket, tp.input.np_dtype, tp.output.np_dtype
+            plan.key.bucket, tp.input.np_dtype, tp.output.np_dtype
         )
-        for chunk in self.scheduler.chunk(BucketGroup(grp.bucket, pending),
-                                          per_img):
+        for chunk in self.scheduler.chunk(
+                BucketGroup(plan.key.bucket, pending), per_img):
             modeled_batched += self._run_chunk(plan, tp, dev, algorithm,
                                                imgs, chunk, runs, opts, res,
-                                               dest)
-        return hits, misses, modeled_batched
+                                               dest, lock)
+        return modeled_batched
 
     def _run_chunk(
         self,
@@ -618,20 +644,25 @@ class Engine:
         opts: Mapping,
         res: ExecutionConfig,
         dest: Optional["_Destination"],
+        lock=None,
     ) -> float:
         """Stage, execute and split one warm chunk; returns its modeled time.
 
         The chunk runs the plan's lowered program over the ``(depth, hp,
         wp)`` stack when the bucket has one.  Every lowered pass vectorises
         over the leading batch axis exactly as a stacked launch scales its
-        grid axis, so this *is* the stacked launch.  Buckets without a
-        program replay each image through the interpreter instead.  Either
-        way the per-image stats are clones of the recorded cold launch,
-        and the chunk is modeled as one stacked launch per pass.  Outputs
-        are copied out of the stack while the caller still holds
-        ``plan.lock``, since the next holder refills the staging buffers
-        it may alias; only a run that computed in its destination skips
-        the copy.
+        grid axis, so this *is* the stacked launch, whether it runs whole
+        or one depth slice per core (:func:`repro.engine.pool.
+        split_depth`).  Buckets without a program replay each image
+        through the interpreter instead.  Either way the per-image stats
+        are clones of the recorded cold launch, and the chunk is modeled
+        as one stacked launch per pass.  Outputs are copied out of the
+        stack while the caller still holds ``plan.lock``, since the next
+        holder refills the staging buffers it may alias; only a run that
+        computed in its destination skips the copy.  A program that
+        fails is dropped, and the chunk replays.  A caller that runs
+        without the lock passes it as ``lock``; the chunk takes it before
+        it drops the program or touches a staging buffer.
         """
         depth = len(chunk)
         hp, wp = plan.key.bucket
@@ -641,15 +672,19 @@ class Engine:
                           backend=res.backend)
               if tracer is not None else nullcontext()) as sp:
             chunk_imgs = [imgs[i] for i in chunk]
-            out3 = self._run_program(plan, tp, algorithm, chunk_imgs, res,
-                                     dest)
+            prog = plan.compiled
+            out3 = (None if prog is None else self._run_program(
+                plan, prog, tp, algorithm, chunk_imgs, res, dest))
             if out3 is None:
-                out3 = self._replay_images(
-                    plan, tp,
-                    self._stage(plan, "input", chunk_imgs, tp,
-                                tp.input.np_dtype),
-                    opts, res,
-                )
+                with lock or nullcontext():
+                    if prog is not None and plan.compiled is prog:
+                        plan.compiled = None  # it failed: drop it
+                    out3 = self._replay_images(
+                        plan, tp,
+                        self._stage(plan, "input", chunk_imgs, tp,
+                                    tp.input.np_dtype),
+                        opts, res,
+                    )
         t_stacked = plan.stacked_time_s.get(depth)
         if t_stacked is None:
             t_stacked = plan.stacked_time_s[depth] = sum(
@@ -661,7 +696,7 @@ class Engine:
             h, w = imgs[i].shape
             runs[i] = SatRun(
                 output=(dest.out if dest is not None and dest.in_place
-                        else out3[j, :h, :w].copy()),
+                        else out3[j][:h, :w].copy()),
                 launches=[lp.clone_stats() for lp in plan.launch_plans],
                 algorithm=algorithm,
                 device=dev.name,
@@ -690,29 +725,29 @@ class Engine:
                 blk[:h, w:] = 0
         return x3
 
-    def _run_program(self, plan, tp, algorithm, imgs,
-                     res, dest) -> Optional[np.ndarray]:
-        """The lowered program's output stack for ``imgs``, or ``None``
-        when the bucket has no program.
+    def _run_program(self, plan, prog, tp, algorithm, imgs, res,
+                     dest) -> Optional[Sequence[np.ndarray]]:
+        """The plan's lowered program ``prog``'s per-image outputs for
+        ``imgs`` (a stack, or a list when the stack ran in depth slices),
+        or ``None`` when it failed.
 
         Images are staged straight into the accumulator dtype: the
         per-element cast input->acc is exactly the kernels' load-time
         astype, and the pad zeros are cast-invariant.  An image that
         fills its bucket and has a destination is staged into the
-        destination instead, and the program runs there.  An
-        execute-time failure drops the program (``compile.fallback``)
-        and returns ``None``.
+        destination instead, and the program runs there.  A deep, large
+        stack runs one depth slice per core; every lowered pass
+        vectorises over the depth axis, so the slices' outputs are the
+        whole stack's bit for bit.  An execute-time failure counts a
+        ``compile.fallback``; the caller then drops the program.
         """
-        if plan.compiled is None:
-            return None
         depth = len(imgs)
         in_place = dest is not None and imgs[0].shape == plan.key.bucket
         x3 = (dest.stage(imgs[0], tp) if in_place else
               self._stage(plan, "compiled_input", imgs, tp, tp.output.np_dtype))
         try:
-            out3 = plan.compiled.run(x3)
+            parts = pool.run_all(prog.run, pool.split_depth(x3))
         except Exception as e:
-            plan.compiled = None
             get_metrics().counter("compile.fallback",
                                   algorithm=algorithm).inc()
             timeline_count("compile_fallbacks")
@@ -723,14 +758,16 @@ class Engine:
                              reason=str(e))
             return None
         if in_place:
-            dest.land(out3[0])
+            dest.land(parts[0][0])
         get_metrics().counter("compile.hit", algorithm=algorithm).inc(depth)
         timeline_count("compile_hits", depth)
         for p, lp in zip(plan.spec.passes, plan.launch_plans):
             grid = list(lp.stats.grid)
             grid[_AXIS_INDEX[p.grid_axis]] *= depth
             warm_launch(lp.stats, grid, bounds_check=res.bounds_check)
-        return out3
+        if len(parts) == 1:
+            return parts[0]
+        return [im for part in parts for im in part]
 
     @staticmethod
     def _replay_images(plan, tp, x3, opts, res) -> np.ndarray:

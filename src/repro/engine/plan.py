@@ -87,11 +87,11 @@ class SatPlan:
     #: passes, keyed by batch depth.  It depends only on the recorded
     #: stats and the depth, so warm chunks compute each depth once.
     stacked_time_s: Dict[int, float] = field(default_factory=dict)
-    #: Serialises every use of this plan across worker threads: the cold
-    #: recording run, lowering, and warm chunks all mutate plan state
-    #: (launch plans, staging buffers, the compiled program), so exactly
-    #: one thread may execute on a plan at a time.  Different plans run
-    #: fully in parallel.
+    #: Serialises the uses of this plan that mutate its state across
+    #: threads: the cold recording run, lowering, warm chunks through the
+    #: staging buffers, and dropping a failed program.  A warm run that
+    #: computes in its output destination reads only recorded state and
+    #: runs without it.  Different plans run fully in parallel.
     lock: threading.Lock = field(default_factory=threading.Lock,
                                  repr=False, compare=False)
 

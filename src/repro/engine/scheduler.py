@@ -124,9 +124,8 @@ class TilePlan:
     tile_shape: Tuple[int, int]
     #: Grid extent: (tile rows, tile columns).
     grid: Tuple[int, int]
-    #: Row-major, which is also the issue order: :meth:`at` indexes by
-    #: it, and the sharded executor's integer tiles read their carries
-    #: from the tiles to their left and above when they issue.
+    #: Row-major: :meth:`at` indexes by it, and the sharded executor
+    #: books its tiles (stream ops, launches, edges) in this order.
     placements: Tuple[TilePlacement, ...]
     n_devices: int
     streams_per_device: int

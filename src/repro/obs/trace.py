@@ -162,7 +162,7 @@ class Tracer:
         st = self._stack
         return st[-1] if st else None
 
-    def _lineage(self) -> "tuple[int, Optional[int]]":
+    def lineage(self) -> "tuple[int, Optional[int]]":
         """(trace_id, parent span id) a new span on this thread inherits."""
         st = self._stack
         if st:
@@ -199,7 +199,7 @@ class Tracer:
     @contextmanager
     def span(self, name: str, category: str = "span", **attrs) -> Iterator[Span]:
         """Open a span around a ``with`` block; yields it for annotation."""
-        trace_id, parent_id = self._lineage()
+        trace_id, parent_id = self.lineage()
         sp = Span(
             id=next(_span_ids),
             parent_id=parent_id,
@@ -235,7 +235,7 @@ class Tracer:
             trace_id = int(ctx.trace_id)
             parent_id = int(ctx.span_id) if ctx.span_id else None
         else:
-            trace_id, parent_id = self._lineage()
+            trace_id, parent_id = self.lineage()
         sp = Span(
             id=next(_span_ids),
             parent_id=parent_id,

@@ -27,9 +27,9 @@ the row prefix: a genuine two-stage dependency the lookback protocol
 resolves tile-by-tile in kernel-completion order, deferring (status
 ``X``) when a predecessor has not landed yet.
 
-Integer tiles do not wait for it.  Tiles issue row-major, so when a tile
-issues, the tiles to its left and above are final, and it reads its
-carries from them: ``left[y] = S[R0+y, C0-1] - S[R0-1, C0-1]`` and
+Integer tiles do not wait for it.  An integer tile starts once the
+tiles to its left and above (and so above-left) are final, and it reads
+its carries from them: ``left[y] = S[R0+y, C0-1] - S[R0-1, C0-1]`` and
 ``top[x] = S[R0-1, C0+x]``.  The engine folds them into the tile's scan
 (wrapping addition is associative), and the tile publishes the local
 aggregates recovered from its final values.  Lookback still resolves
@@ -38,18 +38,34 @@ carry that differs from the folded one raises ``RuntimeError``.  Float
 addition is not associative, so float tiles take their carries from
 lookback alone.
 
+Wavefront
+---------
+Tiles compute on the engine's worker pool (:mod:`repro.engine.pool`),
+several at once.  Integer tiles run as an anti-diagonal wavefront: each
+starts when the tiles it reads its carries from have landed.  Float
+tiles have no issue-time dependency and all start at once.  The calling
+thread books every tile in row-major order as soon as the row-major
+prefix up to it has landed: its H2D copy and kernel op on the device
+streams, its launches, and copies of its edges.  Each tile's timeline
+notes go to an accumulator of its own, merged in the same order.  So
+lookback, the :class:`~repro.gpusim.stream.DeviceSet` report, the
+launches and the timeline are those of a one-tile-at-a-time run.  A
+tile that raises stops the wavefront: tiles not yet started never run,
+and the call raises once the running ones finish.
+
 Memory
 ------
 The output is allocated first, and each tile computes into its output
 slice: the slice is the engine's output destination (``out=``), and a
 warm tile that fills its bucket runs its lowered program there, with no
-staging buffer (integer scans run in place; a float program's result is
-copied back); other tiles are copied in.  Integer carries are folded
-into the scan (``carry=``); float carries apply once ``left`` and
-``top`` resolve, as two in-place broadcast adds on the slice,
-``(local + left) + top``.  Copies of each tile's right and bottom edges
-and its carry vectors are all that is kept for the chains, so a sharded
-call holds its output plus at most one tile.
+staging buffer and without the plan's lock (integer scans run in place;
+a float program's result is copied back); other tiles are copied in.
+Integer carries are folded into the scan (``carry=``); float carries
+apply once ``left`` and ``top`` resolve, as two in-place broadcast adds
+on the slice, ``(local + left) + top``.  Copies of each tile's right and
+bottom edges and its carry vectors are all that is kept for the chains,
+so a sharded call holds its output plus at most one tile's working set
+per core.
 
 Cost model
 ----------
@@ -65,19 +81,22 @@ hid behind kernel execution.
 from __future__ import annotations
 
 import os
+from concurrent.futures import FIRST_COMPLETED, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..dtypes import TypePair
+from ..engine import pool as engine_pool
 from ..engine.batch import check_image, choose_algorithm, run_single
 from ..engine.scheduler import TilePlan, TileScheduler
 from ..exec.config import ExecutionConfig, resolve_execution
 from ..exec.registry import get_kernel_spec, has_kernel_spec
 from ..gpusim.device import get_device, parse_device_set
 from ..gpusim.stream import D2D_ALPHA, D2D_BW, H2D_BW, DeviceSet, SimDevice
-from ..obs.context import timeline_add
+from ..obs.context import recording_timeline, timeline_active, timeline_add
 from ..obs.metrics import get_metrics
 from ..obs.trace import resolve_tracer
 from ..sat.api import _resolve_pair
@@ -362,15 +381,40 @@ def sharded_sat(
     nr, nc = plan.grid
     tracer = resolve_tracer(None)
 
-    # -- phase 1: local SATs, one kernel + one H2D copy per tile ---------
+    # -- phase 1: local SATs, a wavefront on the engine's pool -----------
     # Each tile computes into its slice of ``out``; integer tiles fold
-    # their carries in (module docs).  Edges are kept as copies, never
-    # views of ``out``: a float slice gains its carries in place, and a
-    # chain hands a published aggregate on by reference as a successor's
-    # prefix.
+    # their carries in (module docs).  The caller books every tile in
+    # row-major order as its row-major prefix lands: the H2D and kernel
+    # ops, the launches, and copies of its edges.  Edges are copies,
+    # never views of ``out``: a float slice gains its carries in place,
+    # and a chain hands a published aggregate on by reference as a
+    # successor's prefix.
     acc = tp.output.np_dtype
     integer = tp.output.is_integer
     out = np.empty(image.shape, dtype=acc)
+    timelined = timeline_active()
+
+    def compute(p, carry):
+        """One tile's local SAT into its slice (a pool task).  Its
+        timeline notes go to an accumulator of its own, which the caller
+        merges in row-major order."""
+        dev = dset.device(p.device)
+        with ExitStack() as stack:
+            notes = (stack.enter_context(recording_timeline())
+                     if timelined else None)
+            if tracer is not None:
+                stack.enter_context(tracer.span(
+                    f"shard.tile[{p.r},{p.c}]", category="shard",
+                    device=dev.name, stream=f"{dev.name}/s{p.stream}",
+                    algorithm=algorithm,
+                ))
+            run = run_single(
+                image[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w],
+                pair=tp, algorithm=algorithm, config=configs[dev.spec.name],
+                out=out[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w],
+                carry=carry, **opts)
+        return run, notes
+
     right: Dict[Tuple[int, int], np.ndarray] = {}
     bottom: Dict[Tuple[int, int], np.ndarray] = {}
     folded: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
@@ -379,44 +423,27 @@ def sharded_sat(
     backend_name = None
     in_size = tp.input.size
     acc_size = tp.output.size
-    for k, p in enumerate(plan.placements):
-        if (p.r, p.c) != divmod(k, nc):
-            # Issue-time carries read the tiles to the left and above.
-            raise RuntimeError(
-                f"tile ({p.r}, {p.c}) is issued at position {k}; tiles "
-                f"must issue row-major")
+
+    def book(p, run, notes) -> None:
+        """Row-major bookkeeping of one computed tile."""
+        nonlocal backend_name
+        key = (p.r, p.c)
         dev = dset.device(p.device)
-        sub = image[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w]
         cop = dev.enqueue(
             p.stream, "copy", (p.h * p.w * in_size) / H2D_BW,
-            f"h2d[{p.r},{p.c}]", tile=(p.r, p.c),
-            bytes=p.h * p.w * in_size,
+            f"h2d[{p.r},{p.c}]", tile=key, bytes=p.h * p.w * in_size,
         )
-        if tracer:
-            cm = tracer.span(
-                f"shard.tile[{p.r},{p.c}]", category="shard",
-                device=dev.name, stream=f"{dev.name}/s{p.stream}",
-                algorithm=algorithm,
-            )
-        else:
-            from contextlib import nullcontext
-
-            cm = nullcontext()
-        key = (p.r, p.c)
         dst = out[p.row0: p.row0 + p.h, p.col0: p.col0 + p.w]
-        carry = _issue_carries(out, p, acc) if integer else None
-        with cm:
-            run = run_single(sub, pair=tp, algorithm=algorithm,
-                             config=configs[dev.spec.name], out=dst,
-                             carry=carry, **opts)
         if integer:
-            lft, top = folded[key] = carry
+            lft, top = folded[key]
             with np.errstate(over="ignore"):
                 right[key] = dst[:, -1] - lft - top[-1]
                 bottom[key] = dst[-1, :] - top - lft[-1]
         else:
             right[key] = dst[:, -1].copy()
             bottom[key] = dst[-1, :].copy()
+        for name, value in (notes or {}).items():
+            timeline_add(name, value)
         backend_name = run.backend
         launches.extend(run.launches)
         kops[key] = dev.enqueue(
@@ -425,7 +452,52 @@ def sharded_sat(
             f"sat[{p.r},{p.c}]", deps=[cop],
             tile=key, passes=n_passes,
         )
-        del run, sub  # hold no tile while the next one runs
+
+    # An integer tile reads its carries from the final tiles to its left
+    # and above (and so above-left), so it starts once they have landed;
+    # float tiles wait for nothing.
+    waiting = {(p.r, p.c): (p.r > 0) + (p.c > 0) if integer else 0
+               for p in plan.placements}
+    tiles: Dict[object, Tuple[int, int]] = {}
+
+    def issue(key) -> None:
+        p = plan.at(*key)
+        carry = None
+        if integer:
+            carry = folded[key] = _issue_carries(out, p, acc)
+        tiles[engine_pool.submit(compute, p, carry)] = key
+
+    for k, p in enumerate(plan.placements):
+        if (p.r, p.c) != divmod(k, nc):
+            raise RuntimeError(
+                f"tile ({p.r}, {p.c}) is at position {k}; tiles must be "
+                f"placed row-major")
+    landed: Dict[Tuple[int, int], tuple] = {}
+    booked = 0
+    try:
+        for key, n_wait in waiting.items():
+            if not n_wait:
+                issue(key)
+        while booked < plan.n_tiles:
+            done, _ = wait(tiles, return_when=FIRST_COMPLETED)
+            for fut in sorted(done, key=tiles.get):
+                r, c = key = tiles.pop(fut)
+                landed[key] = fut.result()
+                for nxt in ((r, c + 1), (r + 1, c)):
+                    if nxt in waiting and waiting[nxt]:
+                        waiting[nxt] -= 1
+                        if not waiting[nxt]:
+                            issue(nxt)
+            while booked < plan.n_tiles and divmod(booked, nc) in landed:
+                p = plan.placements[booked]
+                book(p, *landed.pop((p.r, p.c)))
+                booked += 1
+    finally:
+        # On a failure, tiles no pool thread has started never run, and
+        # the call returns only once the running ones have finished.
+        for fut in tiles:
+            fut.cancel()
+        wait(tiles)
 
     # -- phase 2: decoupled-lookback carry resolution --------------------
     rows = [DescriptorChain(nc, name=f"row{r}") for r in range(nr)]

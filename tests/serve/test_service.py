@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import Engine
 from repro.exec.config import execution
 from repro.obs import get_metrics, reset_metrics
 from repro.sat.api import sat
@@ -132,10 +133,15 @@ class TestAcceptanceConcurrency:
         assert {r.kind for r in (sat_r, rect_r, box_r, ex_r)} == \
             {"sat", "rect_sum", "box_filter"}
 
-    def test_busy_workers_coalesce_without_a_timer(self):
+    def test_busy_workers_coalesce_without_a_timer(self, monkeypatch):
         """Default service (no linger): 8 closed-loop clients on one shape
         keep 2 workers busy, and the requests that queue meanwhile leave
-        together when a worker asks."""
+        together when a worker asks.  The clients send in rounds, and
+        each batch is held until every client's request of the round is
+        queued, in a batch or answered.  A round then leaves in at most
+        three batches (each worker's first take, then the rest together),
+        so at least 6 of every 8 requests coalesce however the threads
+        are scheduled."""
         reset_metrics()
         img = _mixed_images()[0]
         ref = sat(img).output
@@ -143,19 +149,49 @@ class TestAcceptanceConcurrency:
         resps, errors = [], []
         lock = threading.Lock()
         gate = threading.Event()
+        # Requests in taken batches, and clients answered this round.
+        seen = threading.Condition()
+        batched, answered = [0], [0]
+
+        def next_round():
+            with seen:
+                answered[0] = 0
+
+        rounds = threading.Barrier(n_clients, action=next_round)
+        real_run_group = Engine.run_group
+
+        def held_run_group(engine, images, *args, **kwargs):
+            with seen:
+                batched[0] += len(images)
+                seen.wait_for(lambda: service.batcher.queue_depth
+                              + batched[0] + answered[0] >= n_clients,
+                              timeout=30)
+            try:
+                return real_run_group(engine, images, *args, **kwargs)
+            finally:
+                with seen:
+                    batched[0] -= len(images)
 
         def client():
             gate.wait()
             for _ in range(per_client):
                 try:
-                    resp = service.request(SatRequest(img), timeout=60)
+                    fut = service.submit(SatRequest(img))
+                    with seen:
+                        seen.notify_all()
+                    resp = fut.result(timeout=60)
                 except Exception as exc:  # pragma: no cover - fail below
                     with lock:
                         errors.append(exc)
-                    continue
-                with lock:
-                    resps.append(resp)
+                else:
+                    with lock:
+                        resps.append(resp)
+                with seen:
+                    answered[0] += 1
+                    seen.notify_all()
+                rounds.wait(timeout=60)
 
+        monkeypatch.setattr(Engine, "run_group", held_run_group)
         with SatService(workers=2) as service:
             threads = [threading.Thread(target=client)
                        for _ in range(n_clients)]

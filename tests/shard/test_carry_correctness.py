@@ -8,6 +8,9 @@ degenerate 1xN / Nx1 grids, every supported dtype pair, and all four
 named execution profiles.
 """
 
+import collections
+import threading
+
 import numpy as np
 import pytest
 
@@ -151,20 +154,32 @@ class TestCarryProtocol:
     def test_cold_buckets_mid_call_add_nonzero_carries(self, monkeypatch):
         """A ragged grid on a cleared engine: the edge tiles' buckets
         run cold mid-call, and their carries are added after the cold
-        run instead of folded into a lowered scan."""
+        run instead of folded into a lowered scan.  Tiles may run at
+        once, so calls are keyed by tile, and a call is cold when its own
+        thread recorded a plan-cache miss during it."""
         cache = default_engine().cache
         cache.clear()
-        calls = []
+        calls = {}
+        misses = collections.Counter()
+        real_note_miss = cache.note_miss
         real = executor.run_single
+        img = _image((100, 100), "8u32s", seed=8)
+
+        def note_miss(n=1):
+            misses[threading.get_ident()] += n
+            real_note_miss(n)
 
         def spy(image, carry=None, **kwargs):
-            misses = cache.misses
+            before = misses[threading.get_ident()]
             run = real(image, carry=carry, **kwargs)
-            calls.append((cache.misses > misses, carry))
+            row0, col0 = divmod(image.ctypes.data - img.ctypes.data,
+                                img.strides[0])
+            calls[(row0 // 40, col0 // 40)] = (
+                misses[threading.get_ident()] > before, carry)
             return run
 
+        monkeypatch.setattr(cache, "note_miss", note_miss)
         monkeypatch.setattr(executor, "run_single", spy)
-        img = _image((100, 100), "8u32s", seed=8)
         run = sharded_sat(
             img, pair="8u32s",
             config=ExecutionConfig(sanitize=False, bounds_check=False,
@@ -172,11 +187,15 @@ class TestCarryProtocol:
             shard={"tile_shape": (40, 40), "devices": "2xP100"},
         )
         np.testing.assert_array_equal(run.output, _reference(img, "8u32s"))
+        assert len(calls) == 9
         # Tiles (0,2), (2,0) and (2,2) open the 64x32, 32x64 and 32x32
         # buckets; (2,2) has both carries.
         later_cold = [(lft.any(), top.any())
-                      for cold, (lft, top) in calls[1:] if cold]
+                      for tile, (cold, (lft, top)) in sorted(calls.items())
+                      if cold and tile != (0, 0)]
         assert later_cold == [(True, False), (False, True), (True, True)]
+        assert [tile for tile, (cold, _) in sorted(calls.items())
+                if cold] == [(0, 0), (0, 2), (2, 0), (2, 2)]
 
     @pytest.mark.parametrize("pair", ["8u32s", "32f32f"])
     def test_lookback_carries_stay_load_bearing(self, monkeypatch, pair):
