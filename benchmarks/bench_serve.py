@@ -80,6 +80,21 @@ def _scrape_metrics(svc) -> str:
         svc.stop_http()
 
 
+def _undeclared_families(metrics_text: str) -> list:
+    """Metric families on ``/metrics`` that no row of the event table
+    declares, compared after the Prometheus mangling (dots become
+    underscores, counters gain ``_total``).  A family outside the table
+    means an emission bypassed ``repro.obs.emit``."""
+    from repro.obs import EVENTS
+    from repro.obs.exporters import _prom_name
+
+    declared = {_prom_name(name, "_total" if ev.kind == "counter" else "")
+                for name, ev in EVENTS.items() if ev.kind is not None}
+    families = {line.split()[2] for line in metrics_text.splitlines()
+                if line.startswith("# TYPE ")}
+    return sorted(families - declared)
+
+
 def run_smoke(size: int, workers: int, trace_out: str) -> int:
     from repro.obs import (
         Tracer,
@@ -122,6 +137,11 @@ def run_smoke(size: int, workers: int, trace_out: str) -> int:
         return 1
     if "serve_request_latency_us_bucket" not in metrics_text:
         print("FAIL: /metrics is missing serve_request_latency_us buckets")
+        return 1
+    undeclared = _undeclared_families(metrics_text)
+    if undeclared:
+        print(f"FAIL: /metrics families outside the event table: "
+              f"{undeclared}")
         return 1
 
     # Bucketed telemetry must agree with the load generator's exact

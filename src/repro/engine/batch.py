@@ -44,8 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..dtypes import TypePair
-from ..obs.context import timeline_add, timeline_count
-from ..obs.metrics import get_metrics
+from ..obs.events import emit
 from ..obs.trace import current_tracer
 from ..exec.config import ExecutionConfig, requested_backend, resolve_execution
 from ..exec.registry import (
@@ -288,7 +287,6 @@ def ensure_compiled(plan: SatPlan, tp: TypePair,
     from ..compile.lower import CompileError, compile_plan
 
     spec = plan.spec
-    m = get_metrics()
     tracer = current_tracer()
     plan.compile_attempts += 1
     try:
@@ -297,17 +295,12 @@ def ensure_compiled(plan: SatPlan, tp: TypePair,
                           bucket=plan.key.bucket)
               if tracer is not None else nullcontext()):
             plan.compiled = compile_plan(spec, plan.launch_plans, tp, opts)
-        m.counter("compile.miss", algorithm=spec.algorithm).inc()
-        timeline_count("compile_misses")
+        emit("compile.miss", algorithm=spec.algorithm)
         return True
     except CompileError as e:
         plan.compile_attempts = plan.MAX_COMPILE_ATTEMPTS
-        m.counter("compile.fallback", algorithm=spec.algorithm).inc()
-        timeline_count("compile_fallbacks")
-        if tracer is not None:
-            tracer.event("compile.fallback", category="compile",
-                         level="warning", algorithm=spec.algorithm,
-                         reason=str(e))
+        emit("compile.fallback", level="warning", algorithm=spec.algorithm,
+             reason=str(e))
         return False
 
 
@@ -414,29 +407,19 @@ class Engine:
                 )
             if dest is not None:
                 dest.finish(run.runs[0])
+            # Emitted inside the batch span, which takes the span sinks.
+            emit("engine.batches", algorithm=algorithm)
+            emit("engine.images", run.n_images, algorithm=algorithm)
+            emit("engine.plan_hits", run.plan_hits)
+            emit("engine.plan_misses", run.plan_misses)
+            emit("engine.modeled_batched_s", run.modeled_batched_s,
+                 algorithm=algorithm)
+            # µs-scaled live quantile source for /metrics ("per-kernel
+            # modeled time").
+            emit("engine.modeled_kernel_us", run.modeled_batched_s * 1e6,
+                 algorithm=algorithm)
         if sp is not None:
-            sp.attrs["modeled_batched_s"] = run.modeled_batched_s
             sp.attrs["modeled_sequential_s"] = run.modeled_sequential_s
-            sp.attrs["plan_hits"] = run.plan_hits
-            sp.attrs["plan_misses"] = run.plan_misses
-
-        m = get_metrics()
-        m.counter("engine.batches", algorithm=algorithm).inc()
-        m.counter("engine.images", algorithm=algorithm).inc(run.n_images)
-        m.counter("engine.plan_hits").inc(run.plan_hits)
-        m.counter("engine.plan_misses").inc(run.plan_misses)
-        m.histogram("engine.modeled_batched_s", algorithm=algorithm).observe(
-            run.modeled_batched_s
-        )
-        # µs-scaled live quantile source for /metrics ("per-kernel
-        # modeled time").
-        m.histogram("engine.modeled_kernel_us", algorithm=algorithm).observe(
-            run.modeled_batched_s * 1e6
-        )
-        # Serving-timeline attributions; no-ops outside a serve request.
-        timeline_add("modeled_kernel_us", run.modeled_batched_s * 1e6)
-        timeline_count("plan_hits", run.plan_hits)
-        timeline_count("plan_misses", run.plan_misses)
 
         if exclusive:
             for r in run.runs:
@@ -583,13 +566,10 @@ class Engine:
         (caller holds plan.lock).  Adds to and returns the running
         ``(hits, misses, modeled_batched)``; the modeled time is summed in
         one running order so the batch total is reproducible bit for bit."""
-        tracer = current_tracer()
         pending = list(grp.indices)
         if not plan.recorded:
             # One cold, fully-accounted run records the bucket's plan.
-            if tracer is not None:
-                tracer.event("plan.miss", category="batch",
-                             bucket=grp.bucket, algorithm=algorithm)
+            emit("plan.miss", bucket=grp.bucket, algorithm=algorithm)
             i0 = pending.pop(0)
             run0 = run_one(imgs[i0])
             for lp, s in zip(plan.launch_plans, run0.launches):
@@ -616,11 +596,8 @@ class Engine:
         their modeled time to ``modeled_batched`` in chunk order and
         returns it.  ``lock`` is the plan's lock when the caller does not
         hold it."""
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.event("plan.hit", category="batch",
-                         bucket=plan.key.bucket, n_images=len(pending),
-                         algorithm=algorithm)
+        emit("plan.hit", bucket=plan.key.bucket, n_images=len(pending),
+             algorithm=algorithm)
         self.cache.note_hit(len(pending))
         per_img = self.scheduler.stack_bytes(
             plan.key.bucket, tp.input.np_dtype, tp.output.np_dtype
@@ -748,19 +725,12 @@ class Engine:
         try:
             parts = pool.run_all(prog.run, pool.split_depth(x3))
         except Exception as e:
-            get_metrics().counter("compile.fallback",
-                                  algorithm=algorithm).inc()
-            timeline_count("compile_fallbacks")
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.event("compile.fallback", category="compile",
-                             level="warning", algorithm=algorithm,
-                             reason=str(e))
+            emit("compile.fallback", level="warning", algorithm=algorithm,
+                 reason=str(e))
             return None
         if in_place:
             dest.land(parts[0][0])
-        get_metrics().counter("compile.hit", algorithm=algorithm).inc(depth)
-        timeline_count("compile_hits", depth)
+        emit("compile.hit", depth, algorithm=algorithm)
         for p, lp in zip(plan.spec.passes, plan.launch_plans):
             grid = list(lp.stats.grid)
             grid[_AXIS_INDEX[p.grid_axis]] *= depth

@@ -1,24 +1,24 @@
 """One LRU cache, shared by every plan memo in the stack.
 
-Three layers grew their own copy of the same five lines — an
+Two layers grew their own copy of the same five lines — an
 ``OrderedDict``, a ``move_to_end`` on lookup, a ``popitem(last=False)``
 loop on insert, and ad-hoc hit/miss/eviction counters:
-:class:`~repro.engine.plan.LaunchPlanCache` (launch plans),
-:class:`~repro.engine.scheduler.TileScheduler` (tile plans) and, with the
+:class:`~repro.engine.plan.LaunchPlanCache` (launch plans) and, with the
 autotuner, the :class:`~repro.plan.planner.Planner` decision memo.  This
-module is the single implementation all of them delegate to.
+module is the single implementation both delegate to.
 
 :class:`LRUCache` is thread-safe (one ``RLock`` guards the map and the
 statistics — value *construction* under :meth:`get_or_create` happens
 inside the lock so racing threads always receive the same object, the
 invariant the serving layer's concurrency tests pin) and exports uniform
 statistics: ``hits`` / ``misses`` / ``evictions`` attributes plus, when a
-``metrics_prefix`` is given, ``<prefix>.evictions`` (counter) and
-``<prefix>.size`` (gauge) in the process
-:class:`~repro.obs.metrics.MetricsRegistry`, with ``<prefix>.hits`` /
-``<prefix>.misses`` counters when ``emit_lookups=True``.  Call sites that
-predate this module keep their historical metric names by choosing the
-prefix they already published (``engine.plan_cache`` for launch plans).
+``metrics_prefix`` is given, the events ``<prefix>.evictions`` (counter)
+and ``<prefix>.size`` (gauge).  Lookups are events of the caller, which
+knows what a hit means to it (the planner emits ``plan.cache.hits`` /
+``.misses``; the launch-plan cache counts hits per image).  Call sites
+that predate this module keep their historical metric names by choosing
+the prefix they already published (``engine.plan_cache`` for launch
+plans).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, List, Optional, Tuple
 
-from ..obs.metrics import get_metrics
+from ..obs.events import emit
 
 __all__ = ["LRUCache"]
 
@@ -42,21 +42,13 @@ class LRUCache:
     max_size:
         Upper bound on live entries; inserting past it evicts LRU-first.
     metrics_prefix:
-        When given, eviction counts and the live size are mirrored into
-        the process metrics registry as ``<prefix>.evictions`` /
-        ``<prefix>.size``.
-    emit_lookups:
-        Also publish ``<prefix>.hits`` / ``<prefix>.misses`` counters per
-        lookup.  Off by default: the launch-plan cache publishes
-        *per-image* hit counts through its own accounting and must not
-        gain a second, conflicting pair under the same prefix.
+        When given, eviction counts and the live size are emitted as the
+        events ``<prefix>.evictions`` / ``<prefix>.size``.
     """
 
-    def __init__(self, max_size: int, *, metrics_prefix: Optional[str] = None,
-                 emit_lookups: bool = False):
+    def __init__(self, max_size: int, *, metrics_prefix: Optional[str] = None):
         self.max_size = max(1, int(max_size))
         self.metrics_prefix = metrics_prefix
-        self.emit_lookups = bool(emit_lookups) and metrics_prefix is not None
         #: Shared with wrappers that keep sibling statistics (the
         #: launch-plan cache's per-image hit counts) so one lock orders
         #: every mutation.
@@ -92,13 +84,10 @@ class LRUCache:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
                 self.misses += 1
-                hit = False
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                hit = True
-        self._note_lookup(hit)
-        return default if value is _MISSING else value
+                return default
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value
 
     def get_or_create(self, key: Hashable,
                       factory: Callable[[], Any]) -> Tuple[Any, bool]:
@@ -116,7 +105,6 @@ class LRUCache:
             if value is not _MISSING:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                self._note_lookup(True)
                 return value, False
             self.misses += 1
             while len(self._entries) >= self.max_size:
@@ -126,7 +114,6 @@ class LRUCache:
             value = factory()
             self._entries[key] = value
             size = len(self._entries)
-        self._note_lookup(False)
         self._note_insert(evicted, size)
         return value, True
 
@@ -154,7 +141,7 @@ class LRUCache:
             self.misses = 0
             self.evictions = 0
         if self.metrics_prefix:
-            get_metrics().gauge(f"{self.metrics_prefix}.size").set(0)
+            emit(f"{self.metrics_prefix}.size", 0)
 
     # -- statistics ------------------------------------------------------
     @property
@@ -163,14 +150,8 @@ class LRUCache:
             total = self.hits + self.misses
             return self.hits / total if total else 0.0
 
-    def _note_lookup(self, hit: bool) -> None:
-        if self.emit_lookups:
-            name = "hits" if hit else "misses"
-            get_metrics().counter(f"{self.metrics_prefix}.{name}").inc()
-
     def _note_insert(self, evicted: int, size: int) -> None:
         if self.metrics_prefix:
-            m = get_metrics()
             if evicted:
-                m.counter(f"{self.metrics_prefix}.evictions").inc(evicted)
-            m.gauge(f"{self.metrics_prefix}.size").set(size)
+                emit(f"{self.metrics_prefix}.evictions", evicted)
+            emit(f"{self.metrics_prefix}.size", size)

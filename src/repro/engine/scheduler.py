@@ -6,13 +6,11 @@ so each bucket pays its per-launch fixed costs once, and bound the stacked
 working-set size so arbitrarily large batches do not allocate arbitrarily
 large staging buffers.
 
-:class:`TileScheduler` extends the same organisational layer to the
-sharded executor (:mod:`repro.shard`): it cuts an oversized image into a
-tile grid and places each tile on a ``(device, stream)`` slot of a
-simulated :class:`~repro.gpusim.stream.DeviceSet`, memoising the plan so
-repeated shards of the same geometry (streaming series, benchmark sweeps)
-pay the planning cost once — the tile-level analogue of the launch-plan
-cache.
+:func:`plan_tiles` extends the same organisational layer to the sharded
+executor (:mod:`repro.shard`): it cuts an oversized image into a tile
+grid and places each tile on a ``(device, stream)`` slot of a simulated
+:class:`~repro.gpusim.stream.DeviceSet`.  Plans are computed per call,
+never memoised, so two identical calls report identical plans.
 """
 
 from __future__ import annotations
@@ -22,14 +20,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .lru import LRUCache
-
 __all__ = [
     "BucketGroup",
     "BatchScheduler",
     "TilePlacement",
     "TilePlan",
-    "TileScheduler",
+    "plan_tiles",
 ]
 
 
@@ -140,93 +136,49 @@ class TilePlan:
         return self.placements[r * self.grid[1] + c]
 
 
-class TileScheduler:
-    """Cuts an image into tiles and places them across a device set.
+def plan_tiles(shape: Tuple[int, int], tile_shape: Tuple[int, int],
+               n_devices: int, streams_per_device: int = 2,
+               policy: str = "roundrobin") -> TilePlan:
+    """Cut an image of ``shape`` into tiles and place them on a device set.
 
-    Policies
-    --------
-    ``roundrobin`` (default)
-        Tile ``k`` (row-major) goes to device ``k % n_devices`` — carries
-        flow between devices constantly, the worst case the lookback
-        protocol must absorb and the best case for load balance.
-    ``blockrow``
-        Contiguous bands of tile rows per device — row carries stay
-        device-local, only column carries cross devices (the layout
-        Copik-style series partitioning uses).
-
-    Streams alternate per tile within a device so local-SAT kernels and
-    carry fix-ups of neighbouring tiles land on different in-order queues
-    and may overlap.  Plans are memoised (LRU) on the full geometry key.
+    ``roundrobin`` (the default policy) sends tile ``k`` (row-major) to
+    device ``k % n_devices``: carries cross devices constantly, the worst
+    case for the lookback protocol and the best for load balance.
+    ``blockrow`` gives each device a contiguous band of tile rows, so
+    row carries stay device-local (the layout Copik-style series
+    partitioning uses).  Streams alternate per tile within a device, so
+    neighbouring tiles' kernels and carry fix-ups may overlap.  A plan
+    is a pure function of the arguments, computed per call.
     """
-
-    POLICIES = ("roundrobin", "blockrow")
-
-    def __init__(self, tile_shape: Tuple[int, int] = (1024, 1024),
-                 policy: str = "roundrobin", cache_size: int = 64):
-        th, tw = int(tile_shape[0]), int(tile_shape[1])
-        if th < 1 or tw < 1:
-            raise ValueError(f"tile shape must be positive, got {tile_shape}")
-        if policy not in self.POLICIES:
-            raise ValueError(
-                f"unknown placement policy {policy!r}; one of {self.POLICIES}"
-            )
-        self.tile_shape = (th, tw)
-        self.policy = policy
-        self.cache_size = int(cache_size)
-        self._plans = LRUCache(self.cache_size,
-                               metrics_prefix="engine.tile_plans",
-                               emit_lookups=True)
-
-    @property
-    def plan_hits(self) -> int:
-        return self._plans.hits
-
-    @property
-    def plan_misses(self) -> int:
-        return self._plans.misses
-
-    def grid_of(self, shape: Tuple[int, int]) -> Tuple[int, int]:
-        """Tile-grid extent covering ``shape`` (ragged edges allowed)."""
-        h, w = int(shape[0]), int(shape[1])
-        th, tw = self.tile_shape
-        return (-(-h // th), -(-w // tw))
-
-    def plan(self, shape: Tuple[int, int], n_devices: int,
-             streams_per_device: int = 2) -> TilePlan:
-        """The memoised tile plan for one image geometry."""
-        key = (tuple(int(s) for s in shape), self.tile_shape,
-               int(n_devices), int(streams_per_device), self.policy)
-        plan, _ = self._plans.get_or_create(
-            key, lambda: self._build(key[0], int(n_devices),
-                                     int(streams_per_device)))
-        return plan
-
-    def _build(self, shape: Tuple[int, int], n_devices: int,
-               streams_per_device: int) -> TilePlan:
-        if n_devices < 1:
-            raise ValueError("tile placement needs at least one device")
-        h, w = shape
-        th, tw = self.tile_shape
-        nr, nc = self.grid_of(shape)
-        per_device_seq = [0] * n_devices
-        placements = []
-        for r in range(nr):
-            for c in range(nc):
-                k = r * nc + c
-                if self.policy == "roundrobin":
-                    dev = k % n_devices
-                else:  # blockrow: contiguous tile-row bands per device
-                    dev = min(r * n_devices // nr, n_devices - 1)
-                stream = per_device_seq[dev] % streams_per_device
-                per_device_seq[dev] += 1
-                placements.append(TilePlacement(
-                    r=r, c=c,
-                    row0=r * th, col0=c * tw,
-                    h=min(th, h - r * th), w=min(tw, w - c * tw),
-                    device=dev, stream=stream, order=k,
-                ))
-        return TilePlan(
-            image_shape=(h, w), tile_shape=self.tile_shape, grid=(nr, nc),
-            placements=tuple(placements), n_devices=n_devices,
-            streams_per_device=streams_per_device, policy=self.policy,
-        )
+    th, tw = int(tile_shape[0]), int(tile_shape[1])
+    if th < 1 or tw < 1:
+        raise ValueError(f"tile shape must be positive, got {tile_shape}")
+    if policy not in ("roundrobin", "blockrow"):
+        raise ValueError(f"unknown placement policy {policy!r}; one of "
+                         f"('roundrobin', 'blockrow')")
+    if n_devices < 1:
+        raise ValueError("tile placement needs at least one device")
+    h, w = int(shape[0]), int(shape[1])
+    nr, nc = -(-h // th), -(-w // tw)
+    per_device_seq = [0] * n_devices
+    placements = []
+    for r in range(nr):
+        for c in range(nc):
+            k = r * nc + c
+            if policy == "roundrobin":
+                dev = k % n_devices
+            else:  # blockrow: contiguous tile-row bands per device
+                dev = min(r * n_devices // nr, n_devices - 1)
+            stream = per_device_seq[dev] % streams_per_device
+            per_device_seq[dev] += 1
+            placements.append(TilePlacement(
+                r=r, c=c,
+                row0=r * th, col0=c * tw,
+                h=min(th, h - r * th), w=min(tw, w - c * tw),
+                device=dev, stream=stream, order=k,
+            ))
+    return TilePlan(
+        image_shape=(h, w), tile_shape=(th, tw), grid=(nr, nc),
+        placements=tuple(placements), n_devices=int(n_devices),
+        streams_per_device=int(streams_per_device), policy=policy,
+    )

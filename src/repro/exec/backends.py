@@ -29,7 +29,7 @@ from ..dtypes import TypePair
 from ..gpusim.device import get_device
 from ..gpusim.global_mem import GlobalArray
 from ..gpusim.launch import LaunchStats, launch_kernel
-from ..obs.metrics import get_metrics
+from ..obs.events import emit
 from ..obs.trace import current_tracer
 from ..sat.common import SatRun, crop, pad_matrix, regs_per_thread
 from .registry import KernelSpec, PassSpec, register_backend
@@ -103,7 +103,7 @@ class GpusimBackend:
         with (tracer.span(f"sat:{spec.algorithm}", category="sat",
                           algorithm=spec.algorithm, backend=self.name,
                           device=dev.name, pair=tp.name, shape=orig)
-              if tracer is not None else nullcontext()) as sp:
+              if tracer is not None else nullcontext()):
             cur = GlobalArray(padded, "input")
             launches = []
             for p in spec.passes:
@@ -112,18 +112,15 @@ class GpusimBackend:
                     sanitize=sanitize, bounds_check=bounds_check,
                 )
                 launches.append(stats)
-        run = SatRun(
-            output=crop(cur.to_host(), orig),
-            launches=launches,
-            algorithm=spec.algorithm,
-            device=dev.name,
-            pair=tp.name,
-        )
-        if sp is not None:
-            sp.attrs["modeled_us"] = run.time_us
-        m = get_metrics()
-        m.counter("sat.calls", algorithm=spec.algorithm, backend=self.name).inc()
-        m.histogram("sat.modeled_us", algorithm=spec.algorithm).observe(run.time_us)
+            run = SatRun(
+                output=crop(cur.to_host(), orig),
+                launches=launches,
+                algorithm=spec.algorithm,
+                device=dev.name,
+                pair=tp.name,
+            )
+            emit("sat.calls", algorithm=spec.algorithm, backend=self.name)
+            emit("sat.modeled_us", run.time_us, algorithm=spec.algorithm)
         return run
 
 
@@ -162,9 +159,7 @@ class HostBackend:
                 with (tracer.span(p.name, category="pass.host")
                       if tracer is not None else nullcontext()):
                     cur = p.host(cur)
-        get_metrics().counter(
-            "sat.calls", algorithm=spec.algorithm, backend=self.name
-        ).inc()
+        emit("sat.calls", algorithm=spec.algorithm, backend=self.name)
         return SatRun(
             output=np.ascontiguousarray(crop(cur, orig)),
             launches=[],

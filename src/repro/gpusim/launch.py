@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..exec.config import resolve_execution
-from ..obs.metrics import get_metrics
+from ..obs.events import emit
 from ..obs.trace import annotate_launch, current_tracer
 from .block import KernelContext
 from .counters import CostCounters
@@ -143,7 +143,7 @@ def warm_launch(
     at once, call it with no body once per pass at the stacked grid.  The
     modeled track therefore looks the same whichever path ran.
     """
-    get_metrics().counter("gpusim.replays", kernel=stats.name).inc()
+    emit("gpusim.replays", kernel=stats.name)
     tracer = current_tracer()
     if tracer is None:
         if body is not None:
@@ -221,7 +221,7 @@ def launch_kernel(
     if sanitize:
         ctx.sanitizer = Sanitizer(ctx)
     tracer = current_tracer()
-    get_metrics().counter("gpusim.launches", kernel=kname).inc()
+    emit("gpusim.launches", kernel=kname)
     with (tracer.span(kname, category="launch")
           if tracer is not None else nullcontext()) as sp:
         fn(ctx, *args)

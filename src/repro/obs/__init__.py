@@ -14,6 +14,8 @@ serving layer):
   lineage across the serve thread boundary, and
   :class:`~repro.obs.context.RequestTimeline` decomposes each response's
   wall latency into stages that sum exactly.
+* :mod:`.events` — :func:`~repro.obs.events.emit`, the one call of every
+  event site, and the table that routes each event to its sinks.
 * :mod:`.metrics` — an in-process :class:`~repro.obs.metrics.MetricsRegistry`
   (counters/gauges/histograms) aggregating across ``sat()``/``sat_batch()``
   calls; histograms keep log-spaced buckets for live p50/p95/p99.
@@ -31,13 +33,8 @@ serving layer):
 See ``docs/observability.md``.
 """
 
-from .context import (
-    RequestTimeline,
-    TraceContext,
-    recording_timeline,
-    timeline_add,
-    timeline_count,
-)
+from .context import RequestTimeline, TraceContext, recording_timeline
+from .events import EVENTS, Event, emit
 from .exporters import (
     pass_breakdown,
     span_to_dict,
@@ -75,8 +72,9 @@ __all__ = [
     "TraceContext",
     "RequestTimeline",
     "recording_timeline",
-    "timeline_add",
-    "timeline_count",
+    "EVENTS",
+    "Event",
+    "emit",
     "MetricsRegistry",
     "get_metrics",
     "reset_metrics",

@@ -30,10 +30,11 @@ in a per-thread stack.  This module closes the gap with two pieces:
     it.
 
 The annotations are gathered through a context-local accumulator
-(:func:`recording_timeline` / :func:`timeline_add`): the engine, planner
-and shard executor call the guarded helpers unconditionally, and when no
-accumulator is installed the helpers reduce to a single context-var read
-— the same disabled-is-a-no-op invariant the tracer keeps.
+(:func:`recording_timeline`): the engine, planner and shard executor
+emit their events unconditionally (:func:`repro.obs.emit`), and the
+event table's timeline key routes each value here; with no accumulator
+installed that costs one context-var read — the same
+disabled-is-a-no-op invariant the tracer keeps.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ __all__ = [
     "TraceContext",
     "RequestTimeline",
     "recording_timeline",
-    "timeline_add",
-    "timeline_count",
     "timeline_active",
+    "timeline_merge",
 ]
 
 
@@ -195,9 +195,10 @@ def recording_timeline(acc: Optional[Dict[str, float]] = None,
                        ) -> Iterator[Dict[str, float]]:
     """Install an annotation accumulator for the enclosed work.
 
-    The worker wraps each batch execution in this; the engine, planner
-    and shard executor then feed it through :func:`timeline_add` /
-    :func:`timeline_count` without knowing whether anyone is listening.
+    The worker wraps each batch execution in this; events the engine,
+    planner and shard executor emit then accumulate under their timeline
+    keys (:data:`repro.obs.events.EVENTS`) without the emitters knowing
+    whether anyone is listening.
     """
     if acc is None:
         acc = {}
@@ -213,16 +214,11 @@ def timeline_active() -> bool:
     return _timeline.get() is not None
 
 
-def timeline_add(name: str, value: float) -> None:
-    """Accumulate ``value`` under ``name`` — a guarded no-op when no
-    timeline is recording (the hot-path cost is one context-var read)."""
+def timeline_merge(notes: Optional[Dict[str, float]]) -> None:
+    """Add another accumulator's ``notes`` into the recording timeline,
+    in their order — how the sharded executor folds each tile's notes in
+    row-major order.  A no-op when nothing is recording."""
     acc = _timeline.get()
-    if acc is not None:
-        acc[name] = acc.get(name, 0.0) + float(value)
-
-
-def timeline_count(name: str, n: int = 1) -> None:
-    """Count an occurrence (plan hit, compile miss...) into the timeline."""
-    acc = _timeline.get()
-    if acc is not None:
-        acc[name] = acc.get(name, 0.0) + n
+    if acc is not None and notes:
+        for name, value in notes.items():
+            acc[name] = acc.get(name, 0.0) + value

@@ -36,8 +36,7 @@ from ..dtypes import parse_pair
 from ..engine.lru import LRUCache
 from ..exec.config import ExecutionConfig
 from ..gpusim.device import get_device
-from ..obs.context import timeline_add
-from ..obs.metrics import get_metrics
+from ..obs.events import emit
 from ..obs.trace import current_tracer
 
 __all__ = [
@@ -232,7 +231,7 @@ class Planner:
         self._cache = LRUCache(
             cache_size if cache_size is not None
             else _env_int("REPRO_PLAN_CACHE", 256),
-            metrics_prefix="plan.cache", emit_lookups=True,
+            metrics_prefix="plan.cache",
         )
 
     # -- cache surface ---------------------------------------------------
@@ -277,12 +276,13 @@ class Planner:
         key = (dev.name, tp.name, bucket)
         decision, created = self._cache.get_or_create(
             key, lambda: self._compute(dev.name, tp.name, bucket))
+        emit("plan.cache.misses" if created else "plan.cache.hits")
         if created:
-            get_metrics().counter("plan.decisions").inc()
+            emit("plan.decisions")
         # Serving-timeline attribution (no-op outside a serve request):
         # cache hits cost microseconds, cold ranking dominates — both are
         # honest parts of the request's submit/execute path.
-        timeline_add("plan_decide_us", (_time.perf_counter() - t0) * 1e6)
+        emit("plan.decide_us", (_time.perf_counter() - t0) * 1e6)
         return decision
 
     def _compute(self, device: str, pair: str,
@@ -294,8 +294,8 @@ class Planner:
                          pair=pair, bucket=bucket):
             decision = self._rank(device, pair, bucket)
             runner_up = decision.runner_up
-            tracer.event(
-                "plan.decision", category="plan",
+            emit(
+                "plan.decision",
                 device=device, pair=pair, bucket=bucket,
                 algorithm=decision.algorithm, opts=dict(decision.opts),
                 block=decision.block,

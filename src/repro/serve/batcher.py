@@ -60,7 +60,7 @@ from ..engine.scheduler import BatchScheduler
 from ..exec.config import ExecutionConfig
 from ..exec.registry import get_kernel_spec, has_kernel_spec
 from ..obs.context import TraceContext, recording_timeline
-from ..obs.metrics import get_metrics
+from ..obs.events import emit
 from ..obs.trace import Span, Tracer
 from .request import ServeError, ServeRequest
 
@@ -323,10 +323,9 @@ class DynamicBatcher:
             # Bookkeeping before the wake-up: the woken worker takes this
             # lock at once, and a submitter that needed it again would
             # queue behind the worker's admission.
-            m = get_metrics()
-            m.counter("serve.requests", kind=request.kind,
-                      algorithm=key.algorithm).inc()
-            m.gauge("serve.queue_depth").set(self._pending)
+            emit("serve.requests", kind=request.kind,
+                 algorithm=key.algorithm)
+            emit("serve.queue_depth", self._pending)
             self._cond.notify_all()
         return fut
 
@@ -356,13 +355,10 @@ class DynamicBatcher:
             del self._groups[grp.key]
         self._pending -= len(entries)
         self.admitted_batches += 1
-        m = get_metrics()
-        m.counter("serve.batches", reason=reason).inc()
-        m.histogram("serve.batch_size").observe(len(entries))
-        m.histogram("serve.batch_wait_us").observe(
-            max(0.0, now - entries[0].arrival) * 1e6
-        )
-        m.gauge("serve.queue_depth").set(self._pending)
+        emit("serve.batches", reason=reason)
+        emit("serve.batch_size", len(entries))
+        emit("serve.batch_wait_us", max(0.0, now - entries[0].arrival) * 1e6)
+        emit("serve.queue_depth", self._pending)
         return Batch(key=grp.key, entries=entries, reason=reason,
                      admitted=now, t_admitted=time.perf_counter())
 

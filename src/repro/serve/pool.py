@@ -36,7 +36,7 @@ from typing import Dict, List, Optional
 
 from ..engine.batch import Engine
 from ..obs.context import RequestTimeline, TraceContext, recording_timeline
-from ..obs.metrics import get_metrics
+from ..obs.events import emit
 from ..obs.trace import tracing
 from .batcher import Batch, DynamicBatcher
 from .request import ServeError, ServeResponse
@@ -148,7 +148,6 @@ class WorkerPool:
         return tracer, span
 
     def _execute(self, batch: Batch) -> None:
-        m = get_metrics()
         key = batch.key
         tracer, bspan = self._open_batch_span(batch)
         bctx = (TraceContext(trace_id=bspan.trace_id, span_id=bspan.id)
@@ -163,8 +162,7 @@ class WorkerPool:
             if bspan is not None:
                 bspan.attrs["error"] = type(exc).__name__
                 tracer.end_span(bspan)
-            m.counter("serve.worker_error",
-                      error=type(exc).__name__).inc()
+            emit("serve.worker_error", error=type(exc).__name__)
             self._execute_solo(batch, exc)
             return
         t_executed = time.perf_counter()
@@ -177,7 +175,6 @@ class WorkerPool:
 
     def _execute_solo(self, batch: Batch, batch_exc: Exception) -> None:
         """Batched launch failed: isolate the poison by re-running solo."""
-        m = get_metrics()
         for entry in batch.entries:
             if entry.future.done():  # pragma: no cover - defensive
                 continue
@@ -189,9 +186,8 @@ class WorkerPool:
                         run = self._run_group([entry.request.image],
                                               batch.key)
             except Exception as exc:
-                m.counter("serve.worker_error",
-                          error=type(exc).__name__).inc()
-                m.counter("serve.errors", code="execution_error").inc()
+                emit("serve.worker_error", error=type(exc).__name__)
+                emit("serve.errors", code="execution_error")
                 self._finish_span(entry, error=type(exc).__name__)
                 entry.future.set_exception(ServeError(
                     code="execution_error",
@@ -221,11 +217,10 @@ class WorkerPool:
                   t_started: float = 0.0, t_executed: float = 0.0,
                   annotations: Optional[Dict[str, float]] = None) -> None:
         """Post-process and resolve one request's future."""
-        m = get_metrics()
         try:
             result = entry.request.finish(table)
         except Exception as exc:
-            m.counter("serve.errors", code="bad_request").inc()
+            emit("serve.errors", code="bad_request")
             self._finish_span(entry, error=type(exc).__name__)
             entry.future.set_exception(ServeError(
                 code="bad_request",
@@ -263,21 +258,19 @@ class WorkerPool:
             timeline=timeline,
             trace_id=entry.ctx.trace_id if entry.ctx is not None else 0,
         )
-        m.counter("serve.responses", kind=entry.request.kind).inc()
+        emit("serve.responses", kind=entry.request.kind)
         if resp.coalesced:
-            m.counter("serve.coalesced_requests").inc()
-        m.histogram("serve.request_latency_us").observe(timeline.latency_us)
+            emit("serve.coalesced_requests")
+        emit("serve.request_latency_us", timeline.latency_us)
         self._finish_span(entry, batch_size=depth, solo=solo,
                           latency_us=timeline.latency_us)
         entry.future.set_result(resp)
 
     def _fail_remaining(self, batch: Batch, exc: BaseException) -> None:
-        get_metrics().counter("serve.worker_error",
-                              error=type(exc).__name__).inc()
+        emit("serve.worker_error", error=type(exc).__name__)
         for entry in batch.entries:
             if not entry.future.done():
-                get_metrics().counter("serve.errors",
-                                      code="execution_error").inc()
+                emit("serve.errors", code="execution_error")
                 self._finish_span(entry, error=type(exc).__name__)
                 entry.future.set_exception(ServeError(
                     code="execution_error",

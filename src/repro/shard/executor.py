@@ -1,7 +1,7 @@
 """Sharded SAT executor: tiles, devices, streams, single-pass carries.
 
 The executor turns one oversized image into a tile grid (via
-:class:`~repro.engine.scheduler.TileScheduler`), runs every tile's *local*
+:func:`~repro.engine.scheduler.plan_tiles`), runs every tile's *local*
 SAT on its placed simulated device (a one-image batch on the default
 engine, under the call's execution config resolved once), and resolves
 inter-tile carries with the decoupled-lookback protocol of
@@ -41,17 +41,18 @@ lookback alone.
 Wavefront
 ---------
 Tiles compute on the engine's worker pool (:mod:`repro.engine.pool`),
-several at once.  Integer tiles run as an anti-diagonal wavefront: each
-starts when the tiles it reads its carries from have landed.  Float
-tiles have no issue-time dependency and all start at once.  The calling
-thread books every tile in row-major order as soon as the row-major
-prefix up to it has landed: its H2D copy and kernel op on the device
-streams, its launches, and copies of its edges.  Each tile's timeline
-notes go to an accumulator of its own, merged in the same order.  So
-lookback, the :class:`~repro.gpusim.stream.DeviceSet` report, the
-launches and the timeline are those of a one-tile-at-a-time run.  A
-tile that raises stops the wavefront: tiles not yet started never run,
-and the call raises once the running ones finish.
+several at once, within the memory budget below.  Integer tiles run as
+an anti-diagonal wavefront: each starts when the tiles it reads its
+carries from have landed.  Float tiles have no issue-time dependency and
+start in row-major order.  The calling thread books every tile in
+row-major order as soon as the row-major prefix up to it has landed: its
+H2D copy and kernel op on the device streams, its launches, and copies
+of its edges.  Each tile's timeline notes go to an accumulator of its
+own, merged in the same order.  So lookback, the
+:class:`~repro.gpusim.stream.DeviceSet` report, the launches and the
+timeline are those of a one-tile-at-a-time run.  A tile that raises
+stops the wavefront: tiles not yet started never run, and the call
+raises once the running ones finish.
 
 Memory
 ------
@@ -64,8 +65,10 @@ Integer carries are folded into the scan (``carry=``); float carries
 apply once ``left`` and ``top`` resolve, as two in-place broadcast adds
 on the slice, ``(local + left) + top``.  Copies of each tile's right and
 bottom edges and its carry vectors are all that is kept for the chains,
-so a sharded call holds its output plus at most one tile's working set
-per core.
+so a sharded call holds its output plus the working sets of the tiles
+running at once; they run at once only as far as their working sets,
+counted at :data:`TILE_WORKING_SET` times a tile's bytes, fit in the
+output's bytes, whatever the host's core count.
 
 Cost model
 ----------
@@ -80,6 +83,7 @@ hid behind kernel execution.
 
 from __future__ import annotations
 
+import heapq
 import os
 from concurrent.futures import FIRST_COMPLETED, wait
 from contextlib import ExitStack
@@ -91,13 +95,13 @@ import numpy as np
 from ..dtypes import TypePair
 from ..engine import pool as engine_pool
 from ..engine.batch import check_image, choose_algorithm, run_single
-from ..engine.scheduler import TilePlan, TileScheduler
+from ..engine.scheduler import plan_tiles
 from ..exec.config import ExecutionConfig, resolve_execution
 from ..exec.registry import get_kernel_spec, has_kernel_spec
 from ..gpusim.device import get_device, parse_device_set
 from ..gpusim.stream import D2D_ALPHA, D2D_BW, H2D_BW, DeviceSet, SimDevice
-from ..obs.context import recording_timeline, timeline_active, timeline_add
-from ..obs.metrics import get_metrics
+from ..obs.context import recording_timeline, timeline_active, timeline_merge
+from ..obs.events import emit
 from ..obs.trace import resolve_tracer
 from ..sat.api import _resolve_pair
 from ..sat.common import SatRun
@@ -105,6 +109,7 @@ from .descriptor import DescriptorChain, LookbackStats
 
 __all__ = [
     "DEFAULT_THRESHOLD_ELEMS",
+    "TILE_WORKING_SET",
     "ShardConfig",
     "ShardRun",
     "ShardSeriesRun",
@@ -117,6 +122,11 @@ __all__ = [
 #: 2048x2048 (the largest single-launch shape the benchmarks exercise)
 #: sits exactly on the threshold and does *not* shard.
 DEFAULT_THRESHOLD_ELEMS = 1 << 22
+
+#: A running tile's working set, counted as a multiple of its bytes: a
+#: warm tile measured at most 2.1x (docs/sharding.md), and the rest
+#: covers the call's edges and launch records.
+TILE_WORKING_SET = 3
 
 #: Environment knobs (all optional).
 THRESHOLD_ENV = "REPRO_SHARD_THRESHOLD"
@@ -261,21 +271,6 @@ class ShardSeriesRun:
         return self.report.get("makespan_s")
 
 
-# Plan memoisation shared across calls: one scheduler per (tile, policy),
-# so streaming series and repeated shards reuse their tile plans.
-_SCHEDULERS: Dict[Tuple[Tuple[int, int], str], TileScheduler] = {}
-
-
-def _scheduler_for(cfg: ShardConfig) -> TileScheduler:
-    key = (cfg.tile_shape, cfg.placement)
-    sched = _SCHEDULERS.get(key)
-    if sched is None:
-        sched = _SCHEDULERS[key] = TileScheduler(
-            tile_shape=cfg.tile_shape, policy=cfg.placement
-        )
-    return sched
-
-
 def _issue_carries(out: np.ndarray, p,
                    acc) -> Tuple[np.ndarray, np.ndarray]:
     """An integer tile's ``(left, top)`` carries, read from the final
@@ -374,10 +369,10 @@ def sharded_sat(
         )
     n_passes = len(get_kernel_spec(algorithm).passes)
 
-    sched = _scheduler_for(cfg)
     dset = DeviceSet.from_spec(cfg.devices, cfg.streams_per_device)
     configs = _device_configs(dset, res)
-    plan = sched.plan(image.shape, len(dset), cfg.streams_per_device)
+    plan = plan_tiles(image.shape, cfg.tile_shape, len(dset),
+                      cfg.streams_per_device, cfg.placement)
     nr, nc = plan.grid
     tracer = resolve_tracer(None)
 
@@ -442,8 +437,7 @@ def sharded_sat(
         else:
             right[key] = dst[:, -1].copy()
             bottom[key] = dst[-1, :].copy()
-        for name, value in (notes or {}).items():
-            timeline_add(name, value)
+        timeline_merge(notes)
         backend_name = run.backend
         launches.extend(run.launches)
         kops[key] = dev.enqueue(
@@ -472,13 +466,16 @@ def sharded_sat(
             raise RuntimeError(
                 f"tile ({p.r}, {p.c}) is at position {k}; tiles must be "
                 f"placed row-major")
+    # Ready tiles start in row-major order, within the memory budget.
+    ready = [key for key, n_wait in waiting.items() if not n_wait]
+    p0 = plan.placements[0]
+    max_running = max(1, out.size // (TILE_WORKING_SET * p0.h * p0.w))
     landed: Dict[Tuple[int, int], tuple] = {}
     booked = 0
     try:
-        for key, n_wait in waiting.items():
-            if not n_wait:
-                issue(key)
         while booked < plan.n_tiles:
+            while ready and len(tiles) < max_running:
+                issue(heapq.heappop(ready))
             done, _ = wait(tiles, return_when=FIRST_COMPLETED)
             for fut in sorted(done, key=tiles.get):
                 r, c = key = tiles.pop(fut)
@@ -487,7 +484,7 @@ def sharded_sat(
                     if nxt in waiting and waiting[nxt]:
                         waiting[nxt] -= 1
                         if not waiting[nxt]:
-                            issue(nxt)
+                            heapq.heappush(ready, nxt)
             while booked < plan.n_tiles and divmod(booked, nc) in landed:
                 p = plan.placements[booked]
                 book(p, *landed.pop((p.r, p.c)))
@@ -616,31 +613,23 @@ def sharded_sat(
         "launches": len(launches),
         "retries": row_stats.deferred + col_stats.deferred,
         "lookback": {"row": row_stats.to_dict(), "col": col_stats.to_dict()},
-        "plan_cache": {"hits": sched.plan_hits, "misses": sched.plan_misses},
         "carry_overhead_frac": (cb + pb) / (kb + cb + pb) if kb else 0.0,
         "tiles_per_s": (plan.n_tiles / rep["makespan_s"]
                         if rep["makespan_s"] else 0.0),
     })
-    m = get_metrics()
-    m.counter("shard.runs", algorithm=algorithm).inc()
-    m.counter("shard.tiles", algorithm=algorithm).inc(plan.n_tiles)
-    m.counter("shard.carry_ops").inc(carry_ops)
+    emit("shard.runs", algorithm=algorithm)
+    emit("shard.tiles", plan.n_tiles, algorithm=algorithm)
+    emit("shard.carry_ops", carry_ops)
     # Serving-timeline attribution: modeled carry + copy time a sharded
     # request spent off the kernel path (no-op outside a serve request).
-    timeline_add("shard_carry_us", (cb + pb) * 1e6)
-    timeline_add("shard_kernel_us", kb * 1e6)
-    m.counter("shard.lookback.steps").inc(row_stats.steps + col_stats.steps)
-    m.counter("shard.lookback.deferred").inc(
-        row_stats.deferred + col_stats.deferred
-    )
-    if tracer:
-        for d in dset:
-            tracer.event(
-                f"shard.device.{d.name}", category="shard",
-                kernel_busy_s=d.busy_s("kernel"),
-                carry_busy_s=d.busy_s("carry") + d.busy_s("copy"),
-                n_ops=len(d.ops),
-            )
+    emit("shard.carry_us", (cb + pb) * 1e6)
+    emit("shard.kernel_us", kb * 1e6)
+    emit("shard.lookback.steps", row_stats.steps + col_stats.steps)
+    emit("shard.lookback.deferred", row_stats.deferred + col_stats.deferred)
+    for d in dset:
+        emit("shard.device", device=d.name, kernel_busy_s=d.busy_s("kernel"),
+             carry_busy_s=d.busy_s("carry") + d.busy_s("copy"),
+             n_ops=len(d.ops))
 
     return ShardRun(
         output=out,
@@ -689,7 +678,6 @@ def sharded_sat_series(
     n_passes = len(spec.passes)
     dset = DeviceSet.from_spec(cfg.devices, cfg.streams_per_device)
     configs = _device_configs(dset, _resolve(config, backend, device, opts))
-    tracer = resolve_tracer(None)
 
     in_size, acc_size = tp.input.size, tp.output.size
     n = len(frames)
@@ -767,11 +755,9 @@ def sharded_sat_series(
         "carry_passes": 1 if temporal else 0,
         "lookback": chain.stats.to_dict() if chain else None,
     })
-    m = get_metrics()
-    m.counter("shard.series.frames", algorithm=algorithm).inc(n)
-    if tracer:
-        tracer.event("shard.series", category="shard", frames=n,
-                     temporal=temporal, makespan_s=rep["makespan_s"])
+    emit("shard.series.frames", n, algorithm=algorithm)
+    emit("shard.series", frames=n, temporal=temporal,
+         makespan_s=rep["makespan_s"])
     return ShardSeriesRun(
         outputs=outputs, report=rep, algorithm=algorithm, pair=tp.name,
         backend=run.backend, temporal=temporal,

@@ -1,8 +1,10 @@
 """The shared LRU cache: eviction order, statistics, metric emission.
 
-Three plan memos delegate here (launch plans, tile plans, planner
-decisions); these tests pin the contract they all rely on so a change to
-the shared implementation cannot silently skew any one of them.
+Two plan memos delegate here (launch plans and planner decisions);
+these tests pin the contract both rely on so a change to the shared
+implementation cannot silently skew either.  A metrics prefix names
+events of :data:`repro.obs.events.EVENTS`, so the tests use the two the
+table declares.
 """
 
 import threading
@@ -109,28 +111,35 @@ class TestStatistics:
 
 class TestMetricsEmission:
     def test_prefix_emits_evictions_and_size(self):
-        c = LRUCache(1, metrics_prefix="test.lru")
+        c = LRUCache(1, metrics_prefix="plan.cache")
         c.put("a", 1)
         c.put("b", 2)
         m = get_metrics()
-        assert m.counter("test.lru.evictions").value == 1
-        assert m.gauge("test.lru.size").value == 1
+        assert m.counter("plan.cache.evictions").value == 1
+        assert m.gauge("plan.cache.size").value == 1
 
-    def test_lookups_emitted_only_when_asked(self):
-        quiet = LRUCache(2, metrics_prefix="quiet.lru")
-        quiet.put("a", 1)
-        quiet.get("a")
-        quiet.get("x")
+    def test_lookups_emitted_only_when_asked(self, monkeypatch):
+        """The cache emits no lookup events under any prefix; the planner
+        asks for ``plan.cache.hits`` / ``.misses`` by emitting them."""
+        from repro.plan.planner import Planner
+
         m = get_metrics()
-        assert m.counter("quiet.lru.hits").value == 0
-        assert m.counter("quiet.lru.misses").value == 0
+        for prefix in ("engine.plan_cache", "plan.cache"):
+            c = LRUCache(2, metrics_prefix=prefix)
+            c.put("a", 1)
+            c.get("a")
+            c.get("x")
+            c.get_or_create("y", lambda: 2)
+            c.get_or_create("y", lambda: 3)
+            assert m.value(f"{prefix}.hits") is None
+            assert m.value(f"{prefix}.misses") is None
 
-        loud = LRUCache(2, metrics_prefix="loud.lru", emit_lookups=True)
-        loud.put("a", 1)
-        loud.get("a")
-        loud.get("x")
-        assert m.counter("loud.lru.hits").value == 1
-        assert m.counter("loud.lru.misses").value == 1
+        planner = Planner()
+        monkeypatch.setattr(planner, "_compute", lambda *key: key)
+        planner.decide((64, 64), "8u32s", device="P100")
+        planner.decide((64, 64), "8u32s", device="P100")
+        assert m.counter("plan.cache.hits").value == 1
+        assert m.counter("plan.cache.misses").value == 1
 
     def test_no_prefix_no_registry_traffic(self):
         c = LRUCache(1)
@@ -141,8 +150,8 @@ class TestMetricsEmission:
 
 
 class TestCallSitesKeepTheirNames:
-    """The refactor contract: both pre-existing memos publish the same
-    metric names they did before the extraction."""
+    """The refactor contract: the launch-plan memo publishes the same
+    metric names it did before the extraction."""
 
     def test_launch_plan_cache_prefix(self):
         from repro.engine import LaunchPlanCache, PlanKey
@@ -156,13 +165,3 @@ class TestCallSitesKeepTheirNames:
         m = get_metrics()
         assert m.counter("engine.plan_cache.evictions").value == 1
         assert m.gauge("engine.plan_cache.size").value == 1
-
-    def test_tile_scheduler_prefix(self):
-        from repro.engine.scheduler import TileScheduler
-
-        sched = TileScheduler(tile_shape=(64, 64))
-        sched.plan((128, 128), 2, 2)
-        sched.plan((128, 128), 2, 2)
-        m = get_metrics()
-        assert m.counter("engine.tile_plans.misses").value == 1
-        assert m.counter("engine.tile_plans.hits").value == 1

@@ -55,9 +55,6 @@ def set_parts(monkeypatch):
 
 
 def _sharded(img, pair, tile, backend="gpusim"):
-    # A fresh tile scheduler per call, so the report's plan-cache counts
-    # do not depend on the calls made before it.
-    executor._SCHEDULERS.clear()
     return sharded_sat(img, pair=pair, config=CONFIG, backend=backend,
                        shard={"tile_shape": tile, "devices": "2xP100"})
 

@@ -1,14 +1,14 @@
 """BatchScheduler: shape bucketing and byte-bounded chunking.
 
-Plus :class:`TileScheduler`, the tile-placement layer the sharded
-executor (:mod:`repro.shard`) plans with.
+Plus :func:`plan_tiles`, the tile placement the sharded executor
+(:mod:`repro.shard`) computes per call.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine import BatchScheduler, BucketGroup
-from repro.engine.scheduler import TileScheduler
+from repro.engine.scheduler import plan_tiles
 
 
 class TestBucketing:
@@ -76,15 +76,15 @@ class TestChunking:
 
 
 class TestTileScheduler:
+    """Tile placement for the sharded executor, computed by :func:`plan_tiles`."""
+
     def test_grid_covers_ragged_shapes(self):
-        sched = TileScheduler(tile_shape=(32, 48))
-        assert sched.grid_of((64, 96)) == (2, 2)
-        assert sched.grid_of((65, 97)) == (3, 3)
-        assert sched.grid_of((1, 1)) == (1, 1)
+        assert plan_tiles((64, 96), (32, 48), 1).grid == (2, 2)
+        assert plan_tiles((65, 97), (32, 48), 1).grid == (3, 3)
+        assert plan_tiles((1, 1), (32, 48), 1).grid == (1, 1)
 
     def test_plan_tiles_partition_the_image(self):
-        sched = TileScheduler(tile_shape=(32, 48))
-        plan = sched.plan((70, 100), n_devices=2)
+        plan = plan_tiles((70, 100), (32, 48), n_devices=2)
         assert plan.grid == (3, 3) and plan.n_tiles == 9
         seen = np.zeros((70, 100), dtype=int)
         for p in plan.placements:
@@ -96,8 +96,8 @@ class TestTileScheduler:
         assert plan.at(0, 0).shape == (32, 48)
 
     def test_roundrobin_spreads_devices_and_streams(self):
-        plan = TileScheduler(tile_shape=(8, 8)).plan(
-            (16, 32), n_devices=2, streams_per_device=2)
+        plan = plan_tiles((16, 32), (8, 8), n_devices=2,
+                          streams_per_device=2)
         devs = [p.device for p in plan.placements]
         assert set(devs) == {0, 1}
         assert devs == [0, 1, 0, 1, 0, 1, 0, 1]
@@ -107,31 +107,18 @@ class TestTileScheduler:
             assert streams == [0, 1, 0, 1]
 
     def test_blockrow_keeps_rows_device_local(self):
-        plan = TileScheduler(tile_shape=(8, 8), policy="blockrow").plan(
-            (32, 16), n_devices=2)
+        plan = plan_tiles((32, 16), (8, 8), n_devices=2, policy="blockrow")
         for p in plan.placements:
             assert p.device == (0 if p.r < 2 else 1)
 
-    def test_plan_cache_hits_on_repeat_geometry(self):
-        sched = TileScheduler(tile_shape=(16, 16))
-        a = sched.plan((40, 40), n_devices=2)
-        b = sched.plan((40, 40), n_devices=2)
-        assert a is b
-        assert sched.plan_hits == 1 and sched.plan_misses == 1
-        sched.plan((40, 40), n_devices=3)     # different geometry: miss
-        assert sched.plan_misses == 2
-
-    def test_plan_cache_evicts_lru(self):
-        sched = TileScheduler(tile_shape=(16, 16), cache_size=2)
-        a = sched.plan((16, 16), 1)
-        sched.plan((32, 16), 1)
-        sched.plan((48, 16), 1)               # evicts (16, 16)
-        assert sched.plan((16, 16), 1) is not a
+    def test_same_arguments_same_plan(self):
+        assert plan_tiles((40, 40), (16, 16), 2) == \
+            plan_tiles((40, 40), (16, 16), 2)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="positive"):
-            TileScheduler(tile_shape=(0, 8))
+            plan_tiles((64, 64), (0, 8), 1)
         with pytest.raises(ValueError, match="policy"):
-            TileScheduler(policy="zigzag")
+            plan_tiles((64, 64), (8, 8), 1, policy="zigzag")
         with pytest.raises(ValueError, match="at least one device"):
-            TileScheduler().plan((64, 64), n_devices=0)
+            plan_tiles((64, 64), (8, 8), n_devices=0)

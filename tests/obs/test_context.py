@@ -12,9 +12,9 @@ from repro.obs.context import (
     TraceContext,
     recording_timeline,
     timeline_active,
-    timeline_add,
-    timeline_count,
+    timeline_merge,
 )
+from repro.obs.events import emit
 from repro.obs.trace import Tracer
 
 
@@ -114,29 +114,40 @@ class TestRequestTimeline:
 
 
 class TestTimelineAccumulator:
+    """Events reach the accumulator under their table's timeline keys
+    (``shard.kernel_us`` -> ``shard_kernel_us``; ``engine.plan_hits`` ->
+    ``plan_hits``)."""
+
     def test_noop_when_not_recording(self):
         assert not timeline_active()
-        timeline_add("x", 1.0)  # must not raise, must not record anywhere
-        timeline_count("y")
+        emit("shard.kernel_us", 1.0)  # must not raise or record anywhere
+        timeline_merge({"y": 1.0})
         assert not timeline_active()
 
     def test_records_into_installed_accumulator(self):
         with recording_timeline() as acc:
             assert timeline_active()
-            timeline_add("modeled_kernel_us", 10.0)
-            timeline_add("modeled_kernel_us", 2.5)
-            timeline_count("plan_hits", 3)
-        assert acc == {"modeled_kernel_us": 12.5, "plan_hits": 3.0}
+            emit("shard.kernel_us", 10.0)
+            emit("shard.kernel_us", 2.5)
+            emit("engine.plan_hits", 3)
+        assert acc == {"shard_kernel_us": 12.5, "plan_hits": 3.0}
         assert not timeline_active()
 
     def test_nested_scopes_restore_outer(self):
         with recording_timeline() as outer:
-            timeline_add("a", 1.0)
+            emit("shard.kernel_us", 1.0)
             with recording_timeline() as inner:
-                timeline_add("a", 5.0)
-            timeline_add("a", 1.0)
-        assert outer == {"a": 2.0}
-        assert inner == {"a": 5.0}
+                emit("shard.kernel_us", 5.0)
+            emit("shard.kernel_us", 1.0)
+        assert outer == {"shard_kernel_us": 2.0}
+        assert inner == {"shard_kernel_us": 5.0}
+
+    def test_merge_adds_notes_in_order(self):
+        with recording_timeline() as acc:
+            emit("shard.kernel_us", 1.0)
+            timeline_merge({"shard_kernel_us": 2.0, "plan_hits": 1.0})
+        assert acc == {"shard_kernel_us": 3.0, "plan_hits": 1.0}
+        assert list(acc) == ["shard_kernel_us", "plan_hits"]
 
     def test_accumulator_is_thread_local(self):
         # ContextVars do not leak across thread spawns: a recording scope
@@ -145,7 +156,7 @@ class TestTimelineAccumulator:
 
         def other():
             seen["active"] = timeline_active()
-            timeline_add("x", 99.0)
+            emit("shard.kernel_us", 99.0)
 
         with recording_timeline() as acc:
             t = threading.Thread(target=other)

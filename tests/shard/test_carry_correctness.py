@@ -120,6 +120,20 @@ class TestCarryProtocol:
         assert rep["lookback"]["row"]["resolved"] == 12 - 3  # minus col 0
         assert rep["lookback"]["col"]["resolved"] == 12 - 4  # minus row 0
 
+    def test_identical_calls_report_equal(self):
+        """A report depends on its call alone: tile plans are computed
+        per call, so nothing accumulates between two identical calls."""
+        img = _image((96, 128), "8u32s", seed=1)
+
+        def call():
+            return sharded_sat(img, pair="8u32s",
+                               shard={"tile_shape": (32, 32),
+                                      "devices": "2xP100"})
+
+        first, second = call(), call()
+        assert first.report == second.report
+        assert "plan_cache" not in first.report
+
     def test_lookback_defers_and_retries_across_devices(self):
         """Round-robin placement across unequal devices makes some tiles
         finish before their predecessors: the descriptor protocol must
