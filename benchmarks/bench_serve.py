@@ -14,8 +14,9 @@ Run directly::
     python benchmarks/bench_serve.py            # full sweep, appends a row
                                                 # to BENCH_serve.json
     python benchmarks/bench_serve.py --smoke    # CI smoke: asserts
-                                                # bit-identity and coalesce
-                                                # ratio > 0.5
+                                                # bit-identity, coalesce
+                                                # ratio > 0.5 and every
+                                                # response's stages
 
 Every run first verifies responses are bit-identical to serial ``sat()``
 — the serving layer is an optimisation, never an observable.
@@ -95,6 +96,35 @@ def _undeclared_families(metrics_text: str) -> list:
     return sorted(families - declared)
 
 
+def _stage_problems(responses) -> list:
+    """Responses with a negative stage, or whose stages do not sum to
+    ``latency_us`` within 1 us."""
+    bad = []
+    for r in responses:
+        stages = r.timeline.components()
+        if (min(stages.values()) < 0
+                or abs(sum(stages.values()) - r.latency_us) > 1.0):
+            bad.append({"request_id": r.request_id, **stages,
+                        "latency_us": r.latency_us})
+    return bad
+
+
+def _light_load(svc, image, n: int = 40, gap_s: float = 0.002):
+    """One client, one request at a time, ``gap_s`` apart: the responses
+    and each ``submit()``'s wall time as the caller measured it (us)."""
+    from repro.serve import SatRequest
+
+    responses, walls_us = [], []
+    for _ in range(n):
+        req = SatRequest(image)
+        t0 = time.perf_counter()
+        fut = svc.submit(req)
+        walls_us.append((time.perf_counter() - t0) * 1e6)
+        responses.append(fut.result(timeout=120))
+        time.sleep(gap_s)
+    return responses, walls_us
+
+
 def run_smoke(size: int, workers: int, trace_out: str) -> int:
     from repro.obs import (
         Tracer,
@@ -116,10 +146,19 @@ def run_smoke(size: int, workers: int, trace_out: str) -> int:
     with SatService(workers=workers, max_delay_s=0.005, tracer=tracer,
                     slo={"latency_threshold_us": 1_000_000.0}) as svc:
         _verify_identity(svc, imgs)
+        # Keep every closed-loop response for the stage check.
+        responses = []
+
+        def request(req, timeout=None, _request=svc.request):
+            responses.append(_request(req, timeout))
+            return responses[-1]
+
+        svc.request = request
         reset_metrics()  # quantile cross-check covers the load phase only
         rep = run_closed_loop(svc, imgs[:1], clients=6, requests_per_client=6)
         metrics_text = _scrape_metrics(svc)
         stats = svc.stats()
+        light, submit_walls_us = _light_load(svc, imgs[0])
     print(f"smoke: {json.dumps(rep.to_dict())}")
     if rep.n_errors:
         print(f"FAIL: {rep.n_errors} request(s) errored")
@@ -155,7 +194,22 @@ def run_smoke(size: int, workers: int, trace_out: str) -> int:
                   f"{exact_us:.1f}us (beyond one bucket width)")
             return 1
 
-    # Every response decomposes its wall latency exactly.
+    # Every response decomposes its wall latency exactly: no negative
+    # stage, and stages that sum to the latency.
+    bad = _stage_problems(responses + light)
+    if bad:
+        print(f"FAIL: {len(bad)} response(s) with a negative stage or "
+              f"stages off their latency, e.g. {bad[0]}")
+        return 1
+    # At light load the submit stage covers the caller's work: it ends
+    # once the request is queued, its events emitted and workers woken.
+    cover = float(np.median([r.timeline.submit_us / w
+                             for r, w in zip(light, submit_walls_us)]))
+    if cover < 0.8:
+        print(f"FAIL: submit stage covers {cover:.0%} of the caller's "
+              f"submit() wall time at light load (median), below 80%")
+        return 1
+
     slo_state = stats.get("slo", {}).get("state")
     if slo_state not in ("ok", "warning"):
         print(f"FAIL: smoke SLO state {slo_state!r}")
@@ -180,6 +234,8 @@ def run_smoke(size: int, workers: int, trace_out: str) -> int:
           f"{n_links} batch links, slo={slo_state})")
     print(f"smoke: bucketed p95={quant['p95'] / 1e3:.2f}ms vs "
           f"loadgen p95={rep.latency_ms['p95']:.2f}ms")
+    print(f"smoke: {len(responses) + len(light)} responses' stages sum to "
+          f"their latency; submit stage covers {cover:.0%} of submit()")
     print("smoke OK")
     return 0
 
@@ -257,7 +313,8 @@ def main(argv=None) -> int:
     _repo_src()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--smoke", action="store_true",
-                    help="fast CI check: bit-identity + coalesce ratio > 0.5")
+                    help="fast CI check: bit-identity, coalesce ratio > 0.5, "
+                         "response stages")
     ap.add_argument("--size", type=int, default=128)
     ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--n-shapes", type=int, default=3,

@@ -39,6 +39,7 @@ __all__ = [
     "TYPE_PAIRS",
     "parse_dtype",
     "parse_pair",
+    "resolve_pair",
     "accumulate_cast",
 ]
 
@@ -183,6 +184,34 @@ def parse_pair(spec) -> TypePair:
     # Fall back to a numpy dtype meaning the identity pair.
     t = parse_dtype(spec)
     return TypePair(t, t)
+
+
+def resolve_pair(image: np.ndarray, pair) -> TypePair:
+    """Resolve the type pair for ``image``, failing with a clear message.
+
+    ``pair=None`` means the identity pair of ``image``'s dtype (except 8u
+    input, which defaults to the paper's common ``8u32s``).  Unsupported
+    dtypes and pair spellings raise ``ValueError`` naming the supported
+    pairs instead of failing deep inside ``parse_pair``.
+    """
+    if pair is None:
+        if image.dtype == np.uint8:
+            return TYPE_PAIRS["8u32s"]
+        try:
+            return parse_pair(image.dtype)
+        except ValueError:
+            raise ValueError(
+                f"unsupported SAT input dtype {image.dtype}; pass a supported "
+                f"input dtype (uint8/uint16/uint32/int32/float32/float64) or "
+                f"an explicit pair= from: {', '.join(sorted(TYPE_PAIRS))}"
+            ) from None
+    try:
+        return parse_pair(pair)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"unsupported type pair {pair!r}; supported pairs: "
+            f"{', '.join(sorted(TYPE_PAIRS))}"
+        ) from None
 
 
 def accumulate_cast(values: np.ndarray, out_dtype: DType) -> np.ndarray:

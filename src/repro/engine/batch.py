@@ -43,7 +43,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..dtypes import TypePair
+from ..dtypes import TypePair, resolve_pair
 from ..obs.events import emit
 from ..obs.trace import current_tracer
 from ..exec.config import ExecutionConfig, requested_backend, resolve_execution
@@ -56,6 +56,10 @@ from ..gpusim.global_mem import GlobalArray
 from ..gpusim.launch import replay_kernel, warm_launch
 from ..sat.common import SatRun
 from ..sat.naive import exclusive_from_inclusive
+# Module objects, not names: repro.plan and repro.sat import this package
+# while they load, so their names are looked up when a call runs.
+from ..plan import planner as _planner
+from ..sat import api as _sat_api
 from . import pool
 from .plan import LaunchPlanCache, PlanKey, SatPlan
 from .scheduler import BatchScheduler, BucketGroup
@@ -252,19 +256,15 @@ def choose_algorithm(algorithm: Optional[str], shape, tp: TypePair,
     choice runs exactly as if it were spelled out.
     """
     if algorithm is None or algorithm == "auto":
-        # Imported lazily: repro.plan leans on repro.engine.lru, so a
-        # module-level import here would be circular.
-        from ..plan.planner import DEFAULT_ALGORITHM, get_planner
-
         if algorithm is None and not resolved.autotune:
-            return DEFAULT_ALGORITHM, opts
-        decision = get_planner().decide(shape, tp.name, resolved.device)
+            return _planner.DEFAULT_ALGORITHM, opts
+        decision = _planner.get_planner().decide(shape, tp.name,
+                                                 resolved.device)
         return decision.algorithm, {**decision.opts_dict(), **opts}
-    from ..sat.api import ALGORITHMS
-
-    if algorithm not in ALGORITHMS:
+    if algorithm not in _sat_api.ALGORITHMS:
         raise KeyError(
-            f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
+            f"unknown algorithm {algorithm!r}; available: "
+            f"{sorted(_sat_api.ALGORITHMS)}"
         )
     return algorithm, opts
 
@@ -342,11 +342,9 @@ class Engine:
         top[None, :]`` with wraparound; see :class:`_Destination` for how
         each path applies it.
         """
-        from ..sat.api import ALGORITHMS, _resolve_pair
-
         t0 = time.perf_counter()
         imgs = self._normalize(images)
-        tp = _resolve_pair(imgs[0], pair)
+        tp = resolve_pair(imgs[0], pair)
         dest = (None if out is None and carry is None
                 else _Destination.make(imgs, tp, exclusive, out, carry))
         overrides = dict(sanitize=sanitize, bounds_check=bounds_check,
@@ -376,7 +374,7 @@ class Engine:
                                     bounds_check=res.bounds_check)
         else:
             check_baseline_backend(algorithm, config, backend)
-            fn = ALGORITHMS[algorithm]
+            fn = _sat_api.ALGORITHMS[algorithm]
             call_opts = dict(opts)
             if sanitize is not None:
                 call_opts["sanitize"] = sanitize
@@ -384,41 +382,17 @@ class Engine:
             def run_one(im):
                 return fn(im, pair=tp, device=dev, **call_opts)
 
-        # gpusim batches run warm buckets through their plan's lowered
-        # program.  Everything else (host, baselines, sanitized runs) loops
-        # per image — the sanitizer is the trusted slow mode and never runs
-        # over compiled code.
-        batchable = res.backend == "gpusim"
-
         tracer = current_tracer()
-        with (tracer.span(f"batch:{algorithm}", category="batch",
-                          algorithm=algorithm, device=dev.name, pair=tp.name,
-                          n_images=len(imgs), backend=res.backend)
-              if tracer is not None else nullcontext()) as sp:
-            if not batchable or res.sanitize or spec is None:
-                # Sanitized batches run cold per image so every launch is fully
-                # instrumented and sanitizer reports stay per-image accurate;
-                # baselines have no stacking recipe and the host backend has
-                # no launches to stack.  Either way: a plain loop.
-                run = self._run_fallback(run_one, imgs, tp, dev, algorithm)
-            else:
-                run = self._run_batched(
-                    run_one, imgs, tp, dev, algorithm, spec, opts, res, dest,
-                )
-            if dest is not None:
-                dest.finish(run.runs[0])
-            # Emitted inside the batch span, which takes the span sinks.
-            emit("engine.batches", algorithm=algorithm)
-            emit("engine.images", run.n_images, algorithm=algorithm)
-            emit("engine.plan_hits", run.plan_hits)
-            emit("engine.plan_misses", run.plan_misses)
-            emit("engine.modeled_batched_s", run.modeled_batched_s,
-                 algorithm=algorithm)
-            # µs-scaled live quantile source for /metrics ("per-kernel
-            # modeled time").
-            emit("engine.modeled_kernel_us", run.modeled_batched_s * 1e6,
-                 algorithm=algorithm)
-        if sp is not None:
+        if tracer is None:
+            run = self._execute(run_one, imgs, tp, dev, algorithm, spec,
+                                opts, res, dest, None)
+        else:
+            with tracer.span(f"batch:{algorithm}", category="batch",
+                             algorithm=algorithm, device=dev.name,
+                             pair=tp.name, n_images=len(imgs),
+                             backend=res.backend) as sp:
+                run = self._execute(run_one, imgs, tp, dev, algorithm, spec,
+                                    opts, res, dest, tracer)
             sp.attrs["modeled_sequential_s"] = run.modeled_sequential_s
 
         if exclusive:
@@ -447,11 +421,9 @@ class Engine:
         Accepts exactly the :meth:`run_batch` keywords and returns the
         same :class:`BatchRun` (single entry in ``buckets``).
         """
-        from ..sat.api import _resolve_pair
-
         imgs = self._normalize(images)
         if has_kernel_spec(algorithm):
-            tp = _resolve_pair(imgs[0], pair)
+            tp = resolve_pair(imgs[0], pair)
             pad = get_kernel_spec(algorithm).pad
             buckets = {self.scheduler.bucket_of(im.shape, pad)
                        for im in imgs}
@@ -490,6 +462,39 @@ class Engine:
                 )
         return imgs
 
+    def _execute(self, run_one, imgs, tp, dev, algorithm, spec, opts, res,
+                 dest, tracer) -> BatchRun:
+        """Run one batch and emit its per-batch events; ``tracer`` is the
+        batch's, ``None`` when untraced, and its current span is the
+        batch span."""
+        # gpusim batches run warm buckets through their plan's lowered
+        # program.  Everything else (host, baselines, sanitized runs) loops
+        # per image — the sanitizer is the trusted slow mode and never runs
+        # over compiled code.  Sanitized batches run cold per image so
+        # every launch is fully instrumented and sanitizer reports stay
+        # per-image accurate; baselines have no stacking recipe and the
+        # host backend has no launches to stack.
+        if res.backend != "gpusim" or res.sanitize or spec is None:
+            run = self._run_fallback(run_one, imgs, tp, dev, algorithm)
+        else:
+            run = self._run_batched(run_one, imgs, tp, dev, algorithm, spec,
+                                    opts, res, dest, tracer)
+        if dest is not None:
+            dest.finish(run.runs[0])
+        # Emitted inside the batch span, which takes the span sinks.
+        emit("engine.batches", algorithm=algorithm)
+        emit("engine.images", run.n_images, algorithm=algorithm)
+        emit("engine.plan_hits", run.plan_hits)
+        emit("engine.plan_misses", run.plan_misses)
+        if tracer is not None:
+            tracer.current_span.attrs["modeled_batched_s"] = (
+                run.modeled_batched_s)
+        # µs-scaled live quantile source for /metrics ("per-kernel
+        # modeled time").
+        emit("engine.modeled_kernel_us", run.modeled_batched_s * 1e6,
+             algorithm=algorithm)
+        return run
+
     def _run_fallback(self, run_one, imgs, tp, dev, algorithm):
         runs = [run_one(im) for im in imgs]
         # Unmodeled backends (host) report no time; count them as zero.
@@ -508,7 +513,7 @@ class Engine:
 
     def _run_batched(self, run_one, imgs, tp, dev, algorithm,
                      spec: KernelSpec, opts, res: ExecutionConfig,
-                     dest) -> BatchRun:
+                     dest, tracer) -> BatchRun:
         groups = self.scheduler.groups([im.shape for im in imgs], spec.pad)
         runs: List[Optional[SatRun]] = [None] * len(imgs)
         hits = misses = 0
@@ -532,7 +537,7 @@ class Engine:
                 hits += 1
                 modeled_batched = self._run_warm(
                     plan, tp, dev, algorithm, imgs, grp.indices, runs, opts,
-                    res, dest, modeled_batched, lock=plan.lock)
+                    res, dest, modeled_batched, tracer, lock=plan.lock)
                 continue
             # One thread per plan: the cold recording run, lowering and the
             # warm chunks all mutate plan state (launch plans, staging
@@ -543,7 +548,7 @@ class Engine:
             with plan.lock:
                 hits, misses, modeled_batched = self._run_group_locked(
                     run_one, imgs, tp, dev, algorithm, opts, res, grp, plan,
-                    runs, hits, misses, modeled_batched, dest,
+                    runs, hits, misses, modeled_batched, dest, tracer,
                 )
 
         return BatchRun(
@@ -561,7 +566,7 @@ class Engine:
 
     def _run_group_locked(self, run_one, imgs, tp, dev, algorithm, opts,
                           res, grp, plan, runs,
-                          hits, misses, modeled_batched, dest):
+                          hits, misses, modeled_batched, dest, tracer):
         """Cold-record, lower, then run warm chunks of one bucket group
         (caller holds plan.lock).  Adds to and returns the running
         ``(hits, misses, modeled_batched)``; the modeled time is summed in
@@ -587,11 +592,11 @@ class Engine:
         hits += len(pending)
         modeled_batched = self._run_warm(plan, tp, dev, algorithm, imgs,
                                          pending, runs, opts, res, dest,
-                                         modeled_batched)
+                                         modeled_batched, tracer)
         return hits, misses, modeled_batched
 
     def _run_warm(self, plan, tp, dev, algorithm, imgs, pending, runs, opts,
-                  res, dest, modeled_batched, lock=None) -> float:
+                  res, dest, modeled_batched, tracer, lock=None) -> float:
         """Run the warm images ``pending`` of one bucket in chunks; adds
         their modeled time to ``modeled_batched`` in chunk order and
         returns it.  ``lock`` is the plan's lock when the caller does not
@@ -606,7 +611,7 @@ class Engine:
                 BucketGroup(plan.key.bucket, pending), per_img):
             modeled_batched += self._run_chunk(plan, tp, dev, algorithm,
                                                imgs, chunk, runs, opts, res,
-                                               dest, lock)
+                                               dest, tracer, lock)
         return modeled_batched
 
     def _run_chunk(
@@ -621,6 +626,7 @@ class Engine:
         opts: Mapping,
         res: ExecutionConfig,
         dest: Optional["_Destination"],
+        tracer,
         lock=None,
     ) -> float:
         """Stage, execute and split one warm chunk; returns its modeled time.
@@ -642,32 +648,23 @@ class Engine:
         it drops the program or touches a staging buffer.
         """
         depth = len(chunk)
-        hp, wp = plan.key.bucket
-        tracer = current_tracer()
-        with (tracer.span(f"chunk:{algorithm}", category="chunk",
-                          algorithm=algorithm, depth=depth, bucket=(hp, wp),
-                          backend=res.backend)
-              if tracer is not None else nullcontext()) as sp:
-            chunk_imgs = [imgs[i] for i in chunk]
-            prog = plan.compiled
-            out3 = (None if prog is None else self._run_program(
-                plan, prog, tp, algorithm, chunk_imgs, res, dest))
-            if out3 is None:
-                with lock or nullcontext():
-                    if prog is not None and plan.compiled is prog:
-                        plan.compiled = None  # it failed: drop it
-                    out3 = self._replay_images(
-                        plan, tp,
-                        self._stage(plan, "input", chunk_imgs, tp,
-                                    tp.input.np_dtype),
-                        opts, res,
-                    )
+        chunk_imgs = [imgs[i] for i in chunk]
+        if tracer is None:
+            out3 = self._compute_chunk(plan, tp, algorithm, chunk_imgs, opts,
+                                       res, dest, lock)
+        else:
+            with tracer.span(f"chunk:{algorithm}", category="chunk",
+                             algorithm=algorithm, depth=depth,
+                             bucket=plan.key.bucket,
+                             backend=res.backend) as sp:
+                out3 = self._compute_chunk(plan, tp, algorithm, chunk_imgs,
+                                           opts, res, dest, lock)
         t_stacked = plan.stacked_time_s.get(depth)
         if t_stacked is None:
             t_stacked = plan.stacked_time_s[depth] = sum(
                 _stacked_time_s(lp.stats, depth) for lp in plan.launch_plans
             )
-        if sp is not None:
+        if tracer is not None:
             sp.attrs["modeled_us"] = t_stacked * 1e6
         for j, i in enumerate(chunk):
             h, w = imgs[i].shape
@@ -680,6 +677,25 @@ class Engine:
                 pair=tp.name,
             )
         return t_stacked
+
+    def _compute_chunk(self, plan, tp, algorithm, chunk_imgs, opts, res,
+                       dest, lock):
+        """The chunk's per-image padded outputs: its lowered program's, or
+        the interpreter's replay when there is none or it fails."""
+        prog = plan.compiled
+        out3 = (None if prog is None else self._run_program(
+            plan, prog, tp, algorithm, chunk_imgs, res, dest))
+        if out3 is None:
+            with lock or nullcontext():
+                if prog is not None and plan.compiled is prog:
+                    plan.compiled = None  # it failed: drop it
+                out3 = self._replay_images(
+                    plan, tp,
+                    self._stage(plan, "input", chunk_imgs, tp,
+                                tp.input.np_dtype),
+                    opts, res,
+                )
+        return out3
 
     @staticmethod
     def _stage(plan: SatPlan, role: str, imgs: List[np.ndarray],

@@ -23,13 +23,13 @@ exported through :func:`repro.obs.metrics.get_metrics` as
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..exec.config import env
 from ..exec.registry import KernelSpec
 from ..gpusim.launch import LaunchPlan
 from .lru import LRUCache
@@ -129,7 +129,7 @@ class SatPlan:
 
 
 def _default_max_plans() -> int:
-    raw = os.environ.get("REPRO_ENGINE_MAX_PLANS", "").strip()
+    raw = (env("REPRO_ENGINE_MAX_PLANS") or "").strip()
     if raw:
         try:
             return max(1, int(raw))

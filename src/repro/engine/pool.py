@@ -166,7 +166,9 @@ def split_depth(stack: np.ndarray) -> List[np.ndarray]:
     """``stack``'s depth slices, one per core, when it is deep and large
     enough (:data:`PARALLEL_MIN_ELEMS`) and work here does not run
     inline; otherwise ``[stack]``.  The slices are views."""
+    if stack.shape[0] < 2 or stack.size < PARALLEL_MIN_ELEMS:
+        return [stack]
     n = min(stack.shape[0], parts())
-    if n < 2 or stack.size < PARALLEL_MIN_ELEMS or _inline():
+    if n < 2 or _inline():
         return [stack]
     return np.array_split(stack, n)

@@ -15,6 +15,7 @@ from .config import (
     ENV_VARS,
     PROFILES,
     ExecutionConfig,
+    env,
     env_flag,
     execution,
     get_default_config,
@@ -37,6 +38,7 @@ __all__ = [
     "ENV_VARS",
     "PROFILES",
     "ExecutionConfig",
+    "env",
     "env_flag",
     "execution",
     "get_default_config",

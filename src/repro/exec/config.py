@@ -41,6 +41,12 @@ Boolean variables accept ``"0"``, ``"false"``, ``"no"``, ``"off"`` and
 ``""`` (case-insensitive, surrounding whitespace ignored) as false;
 anything else is true.
 
+Every ``REPRO_*`` variable the package reads, these and the tracing,
+sharding, plan-cache and planner ones, is read through :func:`env` when
+it is needed, so a change to the environment applies from the next call.
+:func:`resolve_execution` memoises its result on its inputs and the raw
+values it read, so a warm resolution costs six lookups and one dict hit.
+
 This module deliberately imports nothing from the rest of the package so
 that every layer — including :mod:`repro.gpusim` — can depend on it
 without cycles.
@@ -52,12 +58,16 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "ExecutionConfig",
     "PROFILES",
     "ENV_VARS",
+    "PROFILE_ENV",
+    "RESOLVE_MEMO_SIZE",
+    "env",
     "env_flag",
     "execution",
     "get_default_config",
@@ -68,6 +78,28 @@ __all__ = [
 
 _FALSY = {"0", "false", "no", "off", ""}
 
+# CPython's ``os.environ`` keeps its variables in a dict under encoded
+# keys.  Looking a variable up there costs an unset one a dict miss,
+# where ``os.environ.get`` raises and catches a ``KeyError`` inside the
+# mapping.  Encoded names are kept per name read (a fixed set).
+_environ = getattr(os.environ, "_data", None)
+_encoded: Dict[str, object] = {}
+
+
+def env(name: str) -> Optional[str]:
+    """The value of environment variable ``name``, ``None`` when unset.
+
+    The one reader of the environment in the package: nothing caches
+    what it returns, so a change applies from the next read.
+    """
+    if _environ is None:
+        return os.environ.get(name)
+    key = _encoded.get(name)
+    if key is None:
+        key = _encoded[name] = os.environ.encodekey(name)
+    raw = _environ.get(key)
+    return None if raw is None else os.environ.decodevalue(raw)
+
 
 def env_flag(name: str, default: bool) -> bool:
     """Read a boolean flag from the environment.
@@ -76,7 +108,7 @@ def env_flag(name: str, default: bool) -> bool:
     whitespace-stripped) disable; anything else enables; an unset variable
     yields ``default``.
     """
-    raw = os.environ.get(name)
+    raw = env(name)
     if raw is None:
         return default
     return raw.strip().lower() not in _FALSY
@@ -117,15 +149,14 @@ class ExecutionConfig:
 
     def merged_over(self, other: "ExecutionConfig") -> "ExecutionConfig":
         """Layer ``self`` over ``other``: set fields of ``self`` win."""
-        out = {}
-        for f in fields(self):
-            mine = getattr(self, f.name)
-            out[f.name] = mine if mine is not None else getattr(other, f.name)
-        return ExecutionConfig(**out)
+        return ExecutionConfig(*[
+            mine if mine is not None else theirs
+            for mine, theirs in zip(_values(self), _values(other))
+        ])
 
     @property
     def is_fully_resolved(self) -> bool:
-        return all(getattr(self, f.name) is not None for f in fields(self))
+        return None not in _values(self)
 
     def compat_key(self) -> Tuple[Tuple[str, object], ...]:
         """Hashable compatibility key for request coalescing.
@@ -178,7 +209,21 @@ ENV_VARS: Dict[str, str] = {
     "autotune": "REPRO_PLAN_AUTOTUNE",
 }
 
+#: The variable naming a :data:`PROFILES` entry (below the per-field ones).
+PROFILE_ENV = "REPRO_EXEC_PROFILE"
+
 _BOOL_FIELDS = ("sanitize", "bounds_check", "autotune")
+
+#: Field names in declaration order, and a getter of their values.
+_NAMES = tuple(f.name for f in fields(ExecutionConfig))
+_values = attrgetter(*_NAMES)
+
+#: What :func:`resolve_execution` reads, per field, then the profile.
+_RESOLVE_ENV = tuple(ENV_VARS[name] for name in _NAMES) + (PROFILE_ENV,)
+
+#: Entries :func:`resolve_execution`'s memo holds before it starts over.
+RESOLVE_MEMO_SIZE = 256
+_resolved: Dict[tuple, ExecutionConfig] = {}
 
 #: Built-in defaults — the behaviour with nothing configured anywhere.
 _BUILTIN = ExecutionConfig(
@@ -254,8 +299,8 @@ def execution(config: ConfigLike = None, **fields_) -> Iterator[ExecutionConfig]
         _context_stack.reset(token)
 
 
-def _env_value(field: str):
-    raw = os.environ.get(ENV_VARS[field])
+def _env_value(field: str, raw: Optional[str]):
+    """Field ``field``'s value from its variable's raw value ``raw``."""
     if raw is None:
         return None
     if field in _BOOL_FIELDS:
@@ -263,15 +308,15 @@ def _env_value(field: str):
     return raw.strip() or None
 
 
-def _profile_config() -> Optional[ExecutionConfig]:
-    name = os.environ.get("REPRO_EXEC_PROFILE")
+def _profile_config(name: Optional[str]) -> Optional[ExecutionConfig]:
+    """The profile a raw ``REPRO_EXEC_PROFILE`` value names, if any."""
     if name is None or not name.strip():
         return None
     try:
         return PROFILES[name.strip()]
     except KeyError:
         raise ValueError(
-            f"unknown REPRO_EXEC_PROFILE {name.strip()!r}; available: "
+            f"unknown {PROFILE_ENV} {name.strip()!r}; available: "
             f"{sorted(PROFILES)}"
         ) from None
 
@@ -301,32 +346,51 @@ def resolve_execution(config: ConfigLike = None, **overrides) -> ExecutionConfig
     the per-field environment variables, the ``REPRO_EXEC_PROFILE``
     profile, and finally the built-in defaults — so the returned config
     has no ``None`` fields.
+
+    The result is memoised on the hashable inputs (``config``, the
+    overrides, the context stack and the default) plus the raw values of
+    the variables read, which are read on every call; a call with an
+    unhashable input, such as a mapping ``config``, resolves afresh.
     """
-    unknown = set(overrides) - {f.name for f in fields(ExecutionConfig)}
+    raw = tuple(map(env, _RESOLVE_ENV))
+    stack = _context_stack.get()
+    memo = (config, tuple(overrides.items()), stack, _default_config, raw)
+    try:
+        hit = _resolved.get(memo)
+    except TypeError:
+        memo = hit = None
+    if hit is not None:
+        return hit
+    unknown = set(overrides) - set(_NAMES)
     if unknown:
         raise TypeError(f"unknown execution fields: {sorted(unknown)}")
     layers = [ExecutionConfig(**{k: v for k, v in overrides.items() if v is not None})]
     if config is not None:
         layers.append(_coerce(config))
-    layers.extend(reversed(_context_stack.get()))
+    layers.extend(reversed(stack))
     layers.append(_default_config)
 
     out = {}
     profile = _sentinel = object()
-    for f in (f.name for f in fields(ExecutionConfig)):
+    for f, var_raw in zip(_NAMES, raw):
         value = None
         for layer in layers:
             value = getattr(layer, f)
             if value is not None:
                 break
         if value is None:
-            value = _env_value(f)
+            value = _env_value(f, var_raw)
         if value is None:
             if profile is _sentinel:
-                profile = _profile_config()
+                profile = _profile_config(raw[-1])
             if profile is not None:
                 value = getattr(profile, f)
         if value is None:
             value = getattr(_BUILTIN, f)
         out[f] = value
-    return ExecutionConfig(**out)
+    resolved = ExecutionConfig(**out)
+    if memo is not None:
+        if len(_resolved) >= RESOLVE_MEMO_SIZE:
+            _resolved.clear()
+        _resolved[memo] = resolved
+    return resolved

@@ -106,9 +106,8 @@ class CostCounters:
         return out
 
     def copy(self) -> "CostCounters":
-        out = CostCounters()
-        for f in fields(self):
-            setattr(out, f.name, getattr(self, f.name))
+        out = object.__new__(CostCounters)
+        out.__dict__.update(self.__dict__)
         return out
 
     # ------------------------------------------------------------------

@@ -119,11 +119,16 @@ class LaunchPlan:
 
         Counters are copied so callers may project them independently
         (:meth:`~repro.gpusim.counters.CostCounters.scaled` mutating flows);
-        the frozen :class:`KernelTiming` is shared.
+        the frozen :class:`KernelTiming` is shared.  Both copies are flat
+        (instance dicts copied whole), as every warm image pays for them.
         """
-        if self.stats is None:
+        stats = self.stats
+        if stats is None:
             raise RuntimeError("LaunchPlan.clone_stats() before record()")
-        return replace(self.stats, counters=self.stats.counters.copy())
+        out = object.__new__(LaunchStats)
+        out.__dict__.update(stats.__dict__)
+        out.counters = stats.counters.copy()
+        return out
 
 
 def warm_launch(

@@ -113,7 +113,8 @@ class TraceContext:
 # sum to latency_us exactly (see from_marks).
 TIMELINE_COMPONENTS: Tuple[str, ...] = (
     "submit_us",       # submit() entry -> queued (config resolution,
-                       #   plan.decide for auto, request-span open)
+                       #   plan.decide for auto, request-span open,
+                       #   queueing, its events and the workers' wake-up)
     "queue_wait_us",   # queued -> a worker's take() admits its batch
                        #   (waits for a free worker, or an opt-in linger)
     "dispatch_wait_us",  # batch admitted -> its worker starts the launch

@@ -13,8 +13,9 @@ trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, Dict, Optional, Tuple
 
 from .context import _timeline
 from .metrics import get_metrics
@@ -40,6 +41,14 @@ class Event:
     span: Optional[str] = None
     instant: Optional[str] = None
     suffix: Optional[str] = None
+    #: The label values of an emit's fields (``KeyError`` if one is
+    #: missing); ``None`` for a row without labels.
+    label_values: Optional[Callable] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "label_values",
+                           itemgetter(*self.labels) if self.labels else None)
 
 
 _C, _H, _G = "counter", "histogram", "gauge"
@@ -52,7 +61,6 @@ EVENTS: Dict[str, Event] = {
     "engine.images": Event(_C, _ALG),
     "engine.plan_hits": Event(_C, timeline="plan_hits", span="plan_hits"),
     "engine.plan_misses": Event(_C, timeline="plan_misses", span="plan_misses"),
-    "engine.modeled_batched_s": Event(_H, _ALG, span="modeled_batched_s"),
     "engine.modeled_kernel_us": Event(_H, _ALG, timeline="modeled_kernel_us"),
     "engine.plan_cache.evictions": Event(_C),
     "engine.plan_cache.size": Event(_G),
@@ -101,16 +109,25 @@ EVENTS: Dict[str, Event] = {
 }
 
 
+_registry = get_metrics()
+
+
 def emit(name: str, n: float = 1, **fields) -> None:
     """Emit event ``name`` with value ``n`` to every sink its row declares.
 
     An unknown ``name`` raises ``KeyError``, and so does a missing label
-    field: an event outside the table cannot be emitted.
+    field: an event outside the table cannot be emitted.  The registry
+    keeps each row's instrument per label values until it resets
+    (:meth:`~repro.obs.metrics.MetricsRegistry.bind`).
     """
     ev = EVENTS[name]
     if ev.kind is not None:
-        labels = {k: fields[k] for k in ev.labels}
-        instrument = getattr(get_metrics(), ev.kind)(name, **labels)
+        key = name if ev.label_values is None else (
+            name, ev.label_values(fields))
+        instrument = _registry.bound.get(key)
+        if instrument is None:
+            instrument = _registry.bind(
+                key, ev.kind, name, {k: fields[k] for k in ev.labels})
         getattr(instrument, _UPDATE[ev.kind])(n)
     if ev.timeline is not None:
         acc = _timeline.get()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from .quantiles import (
     DEFAULT_PERCENTILES,
@@ -193,6 +193,9 @@ class MetricsRegistry:
         self._gauges: Dict[MetricKey, Gauge] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
         self._lock = threading.RLock()
+        #: Instruments by event key (:meth:`bind`), kept until
+        #: :meth:`reset`; :func:`repro.obs.emit` reads it.
+        self.bound: Dict[Hashable, Any] = {}
 
     # -- instrument accessors (create on first use) ---------------------
     def counter(self, name: str, **labels) -> Counter:
@@ -224,6 +227,18 @@ class MetricsRegistry:
                 if h is None:
                     h = self._histograms[k] = Histogram()
         return h
+
+    def bind(self, key: Hashable, kind: str, name: str,
+             labels: Dict[str, Any]):
+        """The ``kind`` (``"counter"``, ``"gauge"`` or ``"histogram"``)
+        instrument of ``name`` and ``labels``, kept in :attr:`bound` under
+        ``key`` until :meth:`reset`.  Binding and resetting take the
+        registry lock, so a kept instrument is always the registry's."""
+        with self._lock:
+            inst = self.bound.get(key)
+            if inst is None:
+                inst = self.bound[key] = getattr(self, kind)(name, **labels)
+            return inst
 
     # -- queries ---------------------------------------------------------
     def value(self, name: str, **labels) -> Optional[float]:
@@ -276,6 +291,7 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self.bound.clear()
 
 
 _global = MetricsRegistry()

@@ -27,14 +27,14 @@ same decision, every process.
 
 from __future__ import annotations
 
-import os
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..dtypes import parse_pair
 from ..engine.lru import LRUCache
-from ..exec.config import ExecutionConfig
+from ..exec.config import ExecutionConfig, env, resolve_execution
 from ..gpusim.device import get_device
 from ..obs.events import emit
 from ..obs.trace import current_tracer
@@ -156,7 +156,7 @@ class PlanDecision:
 
 
 def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
+    raw = (env(name) or "").strip()
     if raw:
         try:
             return max(1, int(raw))
@@ -264,12 +264,9 @@ class Planner:
 
         ``device=None`` resolves through the standard execution layers.
         """
-        import time as _time
-
-        t0 = _time.perf_counter()
+        t0 = time.perf_counter()
         tp = parse_pair(pair)
         if device is None:
-            from ..exec.config import resolve_execution
             device = resolve_execution().device
         dev = get_device(device)
         bucket = bucket_of(shape)
@@ -282,7 +279,7 @@ class Planner:
         # Serving-timeline attribution (no-op outside a serve request):
         # cache hits cost microseconds, cold ranking dominates — both are
         # honest parts of the request's submit/execute path.
-        emit("plan.decide_us", (_time.perf_counter() - t0) * 1e6)
+        emit("plan.decide_us", (time.perf_counter() - t0) * 1e6)
         return decision
 
     def _compute(self, device: str, pair: str,

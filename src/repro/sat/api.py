@@ -18,7 +18,6 @@ engine, which reuses a shape bucket's recorded plan after its first call.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -27,13 +26,15 @@ from ..baselines.bilgic import sat_bilgic
 from ..baselines.cpu import sat_cpu_numpy, sat_cpu_serial
 from ..baselines.npp_sat import sat_npp
 from ..baselines.opencv_sat import sat_opencv
-from ..dtypes import TYPE_PAIRS, TypePair, parse_pair
+from ..engine.batch import check_image, run_single
+from ..engine.batch import sat_batch as _engine_sat_batch
 # ``resolve_execution`` is bound here only for perfbench, whose span
 # tests look the name up in this module; sat() itself resolves nothing.
 from ..exec.config import ExecutionConfig, resolve_execution  # noqa: F401
 from ..exec.registry import has_kernel_spec
 from ..obs.trace import resolve_tracer, tracing
 from ..plan.planner import DEFAULT_ALGORITHM
+from ..shard.executor import above_threshold, sharded_sat
 from .brlt_scanrow import sat_brlt_scanrow
 from .common import SatRun
 from .naive import exclusive_from_inclusive
@@ -67,34 +68,6 @@ BASELINE_ALGORITHMS: Dict[str, Callable[..., SatRun]] = {
 }
 
 ALGORITHMS: Dict[str, Callable[..., SatRun]] = {**PAPER_ALGORITHMS, **BASELINE_ALGORITHMS}
-
-
-def _resolve_pair(image: np.ndarray, pair) -> TypePair:
-    """Resolve the type pair for ``image``, failing with a clear message.
-
-    ``pair=None`` means the identity pair of ``image``'s dtype (except 8u
-    input, which defaults to the paper's common ``8u32s``).  Unsupported
-    dtypes and pair spellings raise ``ValueError`` naming the supported
-    pairs instead of failing deep inside ``parse_pair``.
-    """
-    supported = ", ".join(sorted(TYPE_PAIRS))
-    if pair is None:
-        if image.dtype == np.uint8:
-            return parse_pair("8u32s")
-        try:
-            return parse_pair(image.dtype)
-        except ValueError:
-            raise ValueError(
-                f"unsupported SAT input dtype {image.dtype}; pass a supported "
-                f"input dtype (uint8/uint16/uint32/int32/float32/float64) or "
-                f"an explicit pair= from: {supported}"
-            ) from None
-    try:
-        return parse_pair(pair)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"unsupported type pair {pair!r}; supported pairs: {supported}"
-        ) from None
 
 
 def sat(
@@ -199,9 +172,6 @@ def sat(
     SatRun
         Output matrix plus per-kernel launch statistics and modeled time.
     """
-    from ..engine.batch import check_image, run_single
-    from ..shard.executor import above_threshold, sharded_sat
-
     check_image(image)
     if shard is None:
         # Only kernels with a spec shard on their own; the planner and the
@@ -211,25 +181,23 @@ def sat(
                    and above_threshold(image.shape))
     else:
         sharded = shard is not False
-    scope = (
-        tracing(resolve_tracer(trace), enabled=trace is not False)
-        if trace is not None else nullcontext()
-    )
-    with scope:
-        # Oversized (or explicitly sharded) inputs run tiled across the
-        # simulated device set (see repro.shard / docs/sharding.md);
-        # everything else is a one-image batch on the default engine.
-        if sharded:
-            run = sharded_sat(
-                image, pair=pair, algorithm=algorithm, device=device,
-                backend=backend, config=config, shard=shard,
-                autotune=autotune, **opts,
-            )
-        else:
-            run = run_single(
-                image, pair=pair, algorithm=algorithm, backend=backend,
-                config=config, device=device, autotune=autotune, **opts,
-            )
+    # Oversized (or explicitly sharded) inputs run tiled across the
+    # simulated device set (see repro.shard / docs/sharding.md);
+    # everything else is a one-image batch on the default engine.
+    if sharded:
+        run_fn = sharded_sat
+        opts["shard"] = shard
+    else:
+        run_fn = run_single
+    if trace is None:
+        run = run_fn(image, pair=pair, algorithm=algorithm, device=device,
+                     backend=backend, config=config, autotune=autotune,
+                     **opts)
+    else:
+        with tracing(resolve_tracer(trace), enabled=trace is not False):
+            run = run_fn(image, pair=pair, algorithm=algorithm,
+                         device=device, backend=backend, config=config,
+                         autotune=autotune, **opts)
     if exclusive:
         run.output = exclusive_from_inclusive(run.output)
     return run
@@ -244,9 +212,7 @@ def sat_batch(images, **kwargs):
     calls, while same-shape images share cached launch plans and run as
     stacked launches.  See :func:`repro.engine.sat_batch` for parameters.
     """
-    from ..engine import sat_batch as _sat_batch
-
-    return _sat_batch(images, **kwargs)
+    return _engine_sat_batch(images, **kwargs)
 
 
 def integral(image: np.ndarray, **kwargs) -> np.ndarray:

@@ -51,20 +51,27 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..dtypes import TypePair, parse_pair, resolve_pair
 from ..engine.batch import check_baseline_backend, check_image, choose_algorithm
 from ..engine.scheduler import BatchScheduler
 from ..exec.config import ExecutionConfig
 from ..exec.registry import get_kernel_spec, has_kernel_spec
-from ..obs.context import TraceContext, recording_timeline
+from ..obs.context import TraceContext, _timeline
 from ..obs.events import emit
 from ..obs.trace import Span, Tracer
 from .request import ServeError, ServeRequest
 
-__all__ = ["CompatKey", "Batch", "DynamicBatcher"]
+__all__ = ["CompatKey", "Batch", "DynamicBatcher", "KEY_MEMO_SIZE"]
+
+#: Request spellings whose derived :class:`CompatKey` the batcher keeps
+#: (:meth:`DynamicBatcher.compat_key_of`) before it starts over.
+KEY_MEMO_SIZE = 1024
+_keys: Dict[tuple, "CompatKey"] = {}
 
 
 @dataclass(frozen=True)
@@ -79,15 +86,58 @@ class CompatKey:
     #: Canonicalised algorithm options.
     opts: Tuple[Tuple[str, object], ...] = ()
 
-    @property
+    @cached_property
     def config(self) -> ExecutionConfig:
-        """The resolved execution config this key was built from.
+        """The resolved execution config this key was built from, made
+        once per key.
 
         ``autotune`` is off: the planner's decision is already folded
         into ``algorithm`` and ``opts``, so the config is fully resolved
         and the engine runs it without resolving again.
         """
         return ExecutionConfig(autotune=False, **dict(self.exec_key))
+
+    @cached_property
+    def image_bytes(self) -> int:
+        """One image's stacked staging bytes in this key's bucket."""
+        tp = parse_pair(self.pair)
+        return BatchScheduler.stack_bytes(
+            self.bucket, tp.input.np_dtype, tp.output.np_dtype
+        )
+
+
+def _pair_of(img: np.ndarray, pair) -> TypePair:
+    """The request's type pair, which must take ``img``'s dtype as is."""
+    tp = resolve_pair(img, pair)
+    if img.dtype != tp.input.np_dtype:
+        raise ValueError(
+            f"request image dtype {img.dtype} does not match pair "
+            f"{tp.name} (input {tp.input.np_dtype}); cast at the client "
+            f"so coalescing keys stay exact"
+        )
+    return tp
+
+
+def _derive_key(img: np.ndarray, request: ServeRequest,
+                resolved: ExecutionConfig, algorithm, opts) -> CompatKey:
+    """:meth:`DynamicBatcher.compat_key_of`'s derivation, uncached."""
+    tp = _pair_of(img, request.pair)
+    algorithm, opts = choose_algorithm(algorithm, img.shape, tp, resolved,
+                                       opts)
+    if has_kernel_spec(algorithm):
+        pad = get_kernel_spec(algorithm).pad
+        bucket = BatchScheduler.bucket_of(img.shape, pad)
+    else:
+        check_baseline_backend(algorithm, request.config)
+        resolved = resolved.with_fields(backend="gpusim")
+        bucket = (int(img.shape[0]), int(img.shape[1]))
+    return CompatKey(
+        algorithm=algorithm,
+        pair=tp.name,
+        bucket=bucket,
+        exec_key=resolved.compat_key(),
+        opts=tuple(sorted(opts.items())),
+    )
 
 
 @dataclass
@@ -102,7 +152,8 @@ class _Pending:
     #: resolution), the timeline's origin and the latency measurement's
     #: start.
     t_submit: float
-    #: ``time.perf_counter()`` when the request entered its group queue.
+    #: ``time.perf_counter()`` once the request is queued, its events
+    #: emitted and the workers woken: the end of the submit stage.
     t_queued: float = 0.0
     #: Submit order within the batcher, which ranks group heads: arrival
     #: stamps can tie (a coarse or injected clock) or run backwards.
@@ -197,13 +248,7 @@ class DynamicBatcher:
     def depth_cap_for(key: CompatKey, max_stack_bytes: int,
                       max_batch: Optional[int] = None) -> int:
         """Admission depth of ``key``: the stacked-bytes knee in images."""
-        from ..dtypes import parse_pair
-
-        tp = parse_pair(key.pair)
-        per = BatchScheduler.stack_bytes(
-            key.bucket, tp.input.np_dtype, tp.output.np_dtype
-        )
-        cap = max(1, max_stack_bytes // max(1, per))
+        cap = max(1, max_stack_bytes // max(1, key.image_bytes))
         if max_batch is not None:
             cap = min(cap, int(max_batch))
         return cap
@@ -225,34 +270,34 @@ class DynamicBatcher:
         the placeholder *before* keying, so autotuned requests coalesce
         with explicit requests for the same concrete configuration and
         workers only ever see concrete algorithms.
-        """
-        from ..sat.api import _resolve_pair
 
+        The key is derived once per request spelling — shape, dtype,
+        pair, algorithm, opts, ``resolved`` and the request's ``config``
+        — and then kept (:data:`KEY_MEMO_SIZE` spellings); the image
+        check runs on every request, and a request that raises is never
+        kept.  An ``auto`` request consults the planner every time and
+        is kept under the planner's decision.
+        """
         img = request.image
         check_image(img, "request image")
-        tp = _resolve_pair(img, request.pair)
-        if img.dtype != tp.input.np_dtype:
-            raise ValueError(
-                f"request image dtype {img.dtype} does not match pair "
-                f"{tp.name} (input {tp.input.np_dtype}); cast at the client "
-                f"so coalescing keys stay exact"
-            )
-        algorithm, opts = choose_algorithm(request.algorithm, img.shape, tp,
-                                           resolved, request.opts)
-        if has_kernel_spec(algorithm):
-            pad = get_kernel_spec(algorithm).pad
-            bucket = BatchScheduler.bucket_of(img.shape, pad)
-        else:
-            check_baseline_backend(algorithm, request.config)
-            resolved = resolved.with_fields(backend="gpusim")
-            bucket = (int(img.shape[0]), int(img.shape[1]))
-        return CompatKey(
-            algorithm=algorithm,
-            pair=tp.name,
-            bucket=bucket,
-            exec_key=resolved.compat_key(),
-            opts=tuple(sorted(opts.items())),
-        )
+        algorithm, opts = request.algorithm, request.opts
+        if algorithm == "auto" or (algorithm is None and resolved.autotune):
+            algorithm, opts = choose_algorithm(
+                algorithm, img.shape, _pair_of(img, request.pair), resolved,
+                opts)
+        try:
+            memo = (img.shape, img.dtype, request.pair, algorithm,
+                    tuple(opts.items()), resolved, request.config)
+            key = _keys.get(memo)
+        except TypeError:  # unhashable opts or config: derived afresh
+            memo = key = None
+        if key is None:
+            key = _derive_key(img, request, resolved, algorithm, opts)
+            if memo is not None:
+                if len(_keys) >= KEY_MEMO_SIZE:
+                    _keys.clear()
+                _keys[memo] = key
+        return key
 
     # -- submission ------------------------------------------------------
     def submit(self, request: ServeRequest, resolved: ExecutionConfig,
@@ -273,13 +318,18 @@ class DynamicBatcher:
         ``t_submit``, the caller's ``time.perf_counter()`` mark
         (:meth:`SatService.submit` takes it before resolving the config);
         without one it starts here, before key resolution, which runs
-        plan.decide for ``auto`` requests.
+        plan.decide for ``auto`` requests.  The submit stage ends once the
+        request is queued, its events emitted and the workers woken, so
+        it covers all of the caller's work.
         """
         if t_submit is None:
             t_submit = time.perf_counter()
         sub_ann: Dict[str, float] = {}
-        with recording_timeline(sub_ann):
+        token = _timeline.set(sub_ann)
+        try:
             key = self.compat_key_of(request, resolved)
+        finally:
+            _timeline.reset(token)
         fut: Future = Future()
         pend = _Pending(
             request=request, future=fut,
@@ -299,7 +349,6 @@ class DynamicBatcher:
             pend.span = span
             pend.ctx = ctx.child(span.id)
             pend.tracer = tracer
-        pend.t_queued = time.perf_counter()
         with self._cond:
             if self._closed:
                 if pend.span is not None:
@@ -327,6 +376,9 @@ class DynamicBatcher:
                  algorithm=key.algorithm)
             emit("serve.queue_depth", self._pending)
             self._cond.notify_all()
+            # Still under the lock: a worker admits only once it is
+            # released, so queued <= admitted.
+            pend.t_queued = time.perf_counter()
         return fut
 
     # -- admission (callers hold self._cond) -----------------------------

@@ -31,31 +31,16 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from ..engine.batch import Engine
-from ..obs.context import RequestTimeline, TraceContext, recording_timeline
+from ..obs.context import RequestTimeline, TraceContext, _timeline
 from ..obs.events import emit
 from ..obs.trace import tracing
 from .batcher import Batch, DynamicBatcher
 from .request import ServeError, ServeResponse
 
 __all__ = ["WorkerPool"]
-
-
-@contextmanager
-def _scope(tracer, ctx):
-    """Trace scope for worker-side execution: make ``tracer`` the ambient
-    tracer (workers inherit no client context vars) and adopt ``ctx`` as
-    the thread's span lineage, so engine/launch/replay/plan spans nest
-    under the originating request.  No-op when tracing is off."""
-    if tracer is None:
-        yield
-        return
-    with tracing(tracer):
-        with tracer.activate(ctx):
-            yield
 
 
 class WorkerPool:
@@ -111,6 +96,22 @@ class WorkerPool:
                 self._fail_remaining(batch, exc)
 
     # -- execution -------------------------------------------------------
+    def _run_recorded(self, images, key, tracer, ctx,
+                      annotations: Dict[str, float]):
+        """Run ``images`` as one group, recording the timeline events of
+        the run into ``annotations``.  With a ``tracer``, that tracer is
+        the ambient one (workers inherit no client context vars) and
+        ``ctx`` the thread's span lineage, so engine/launch/replay/plan
+        spans nest under the originating request."""
+        token = _timeline.set(annotations)
+        try:
+            if tracer is None:
+                return self._run_group(images, key)
+            with tracing(tracer), tracer.activate(ctx):
+                return self._run_group(images, key)
+        finally:
+            _timeline.reset(token)
+
     def _run_group(self, images, key):
         """One engine submission for a pre-coalesced group (test seam)."""
         return self.engine.run_group(
@@ -131,10 +132,11 @@ class WorkerPool:
         Returns ``(tracer, span)`` — ``(None, None)`` when no entry was
         traced.
         """
-        tracer = next(
-            (e.tracer for e in batch.entries if e.tracer is not None), None
-        )
-        if tracer is None:
+        for entry in batch.entries:
+            if entry.tracer is not None:
+                tracer = entry.tracer
+                break
+        else:
             return None, None
         ctxs = [e.ctx for e in batch.entries if e.ctx is not None]
         span = tracer.start_span(
@@ -155,9 +157,8 @@ class WorkerPool:
         annotations: Dict[str, float] = {}
         t_started = time.perf_counter()
         try:
-            with _scope(tracer, bctx):
-                with recording_timeline(annotations):
-                    run = self._run_group(batch.images, key)
+            run = self._run_recorded(batch.images, key, tracer, bctx,
+                                     annotations)
         except Exception as exc:
             if bspan is not None:
                 bspan.attrs["error"] = type(exc).__name__
@@ -181,10 +182,9 @@ class WorkerPool:
             annotations: Dict[str, float] = {}
             t_started = time.perf_counter()
             try:
-                with _scope(entry.tracer, entry.ctx):
-                    with recording_timeline(annotations):
-                        run = self._run_group([entry.request.image],
-                                              batch.key)
+                run = self._run_recorded([entry.request.image], batch.key,
+                                         entry.tracer, entry.ctx,
+                                         annotations)
             except Exception as exc:
                 emit("serve.worker_error", error=type(exc).__name__)
                 emit("serve.errors", code="execution_error")

@@ -154,9 +154,11 @@ class SatService:
 
     def _resolve(self, request: ServeRequest) -> ExecutionConfig:
         """Resolve the request's execution modes on the calling thread."""
-        merged = _coerce(request.config).merged_over(_coerce(self.config))
+        config = self.config
+        if request.config is not None:
+            config = _coerce(request.config).merged_over(_coerce(config))
         return resolve_execution(
-            merged, device=request.device or self.device
+            config, device=request.device or self.device
         )
 
     # -- sync conveniences ----------------------------------------------

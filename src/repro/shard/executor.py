@@ -84,7 +84,6 @@ hid behind kernel execution.
 from __future__ import annotations
 
 import heapq
-import os
 from concurrent.futures import FIRST_COMPLETED, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
@@ -92,18 +91,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..dtypes import TypePair
+from ..dtypes import TypePair, resolve_pair
 from ..engine import pool as engine_pool
 from ..engine.batch import check_image, choose_algorithm, run_single
 from ..engine.scheduler import plan_tiles
-from ..exec.config import ExecutionConfig, resolve_execution
+from ..exec.config import ExecutionConfig, env, resolve_execution
 from ..exec.registry import get_kernel_spec, has_kernel_spec
 from ..gpusim.device import get_device, parse_device_set
 from ..gpusim.stream import D2D_ALPHA, D2D_BW, H2D_BW, DeviceSet, SimDevice
 from ..obs.context import recording_timeline, timeline_active, timeline_merge
 from ..obs.events import emit
 from ..obs.trace import resolve_tracer
-from ..sat.api import _resolve_pair
+from ..plan.planner import shard_threshold_elems, shard_tile_shape
 from ..sat.common import SatRun
 from .descriptor import DescriptorChain, LookbackStats
 
@@ -149,6 +148,16 @@ def _parse_tile(spec) -> Tuple[int, int]:
     return (int(h), int(w))
 
 
+#: ``(ShardConfig field, variable, parser)`` for the environment layer.
+_ENV_FIELDS = (
+    ("threshold_elems", THRESHOLD_ENV, int),
+    ("tile_shape", TILE_ENV, _parse_tile),
+    ("devices", DEVICES_ENV, str),
+    ("streams_per_device", STREAMS_ENV, int),
+    ("placement", PLACEMENT_ENV, str),
+)
+
+
 @dataclass(frozen=True)
 class ShardConfig:
     """Everything the sharded executor needs beyond the SAT call itself."""
@@ -176,24 +185,14 @@ class ShardConfig:
         historical 2^22 constant exactly.
         """
         vals = {}
-        if THRESHOLD_ENV in os.environ:
-            vals["threshold_elems"] = int(os.environ[THRESHOLD_ENV])
-        if TILE_ENV in os.environ:
-            vals["tile_shape"] = _parse_tile(os.environ[TILE_ENV])
-        if DEVICES_ENV in os.environ:
-            vals["devices"] = os.environ[DEVICES_ENV]
-        if STREAMS_ENV in os.environ:
-            vals["streams_per_device"] = int(os.environ[STREAMS_ENV])
-        if PLACEMENT_ENV in os.environ:
-            vals["placement"] = os.environ[PLACEMENT_ENV]
+        for name, var, parse in _ENV_FIELDS:
+            raw = env(var)
+            if raw is not None:
+                vals[name] = parse(raw)
         vals.update({k: v for k, v in overrides.items() if v is not None})
         if vals.get("tile_shape") is not None:
             vals["tile_shape"] = _parse_tile(vals["tile_shape"])
         if "threshold_elems" not in vals:
-            # Late import: repro.plan depends on repro.engine, which this
-            # module feeds.
-            from ..plan.planner import shard_threshold_elems
-
             vals["threshold_elems"] = shard_threshold_elems(
                 len(parse_device_set(vals.get("devices", cls.devices))),
                 vals.get("streams_per_device", cls.streams_per_device),
@@ -206,8 +205,6 @@ class ShardConfig:
         planner's recommendation when ``tile_shape`` is ``None``."""
         if self.tile_shape is not None:
             return self.tile_shape
-        from ..plan.planner import shard_tile_shape
-
         return shard_tile_shape(image_shape)
 
     @classmethod
@@ -230,7 +227,7 @@ class ShardConfig:
                 f"{type(shard).__name__}"
             )
         if (device is not None and "devices" not in over
-                and DEVICES_ENV not in os.environ):
+                and env(DEVICES_ENV) is None):
             over["devices"] = f"2x{get_device(device).name}"
         return cls.from_env(**over)
 
@@ -360,7 +357,7 @@ def sharded_sat(
     check_image(image)
     cfg = ShardConfig.coerce(shard, device=device)
     cfg = replace(cfg, tile_shape=cfg.resolved_tile(image.shape))
-    tp = _resolve_pair(image, pair)
+    tp = resolve_pair(image, pair)
     res = _resolve(config, backend, device, opts, autotune)
     algorithm, opts = choose_algorithm(algorithm, image.shape, tp, res, opts)
     if not has_kernel_spec(algorithm):
@@ -673,7 +670,7 @@ def sharded_sat_series(
         if f.shape != shape:
             raise ValueError("all series frames must share one shape")
     cfg = ShardConfig.coerce(shard, device=device)
-    tp = _resolve_pair(frames[0], pair)
+    tp = resolve_pair(frames[0], pair)
     spec = get_kernel_spec(algorithm)
     n_passes = len(spec.passes)
     dset = DeviceSet.from_spec(cfg.devices, cfg.streams_per_device)

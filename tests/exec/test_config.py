@@ -232,6 +232,38 @@ class TestPrecedence:
             set_default_config(prev)
 
 
+class TestResolveMemo:
+    def test_repeat_returns_the_memoised_config(self):
+        assert resolve_execution(device="V100") is resolve_execution(
+            device="V100")
+
+    def test_environment_change_applies_to_the_next_call(self, monkeypatch):
+        first = resolve_execution()
+        monkeypatch.setenv("REPRO_EXEC_DEVICE", "V100")
+        assert resolve_execution().device == "V100"
+        monkeypatch.setenv("REPRO_EXEC_PROFILE", "sanitized")
+        assert resolve_execution().sanitize is True
+        monkeypatch.delenv("REPRO_EXEC_DEVICE")
+        monkeypatch.delenv("REPRO_EXEC_PROFILE")
+        assert resolve_execution() == first
+
+    def test_contexts_and_default_key_the_memo(self):
+        first = resolve_execution()
+        with execution(device="M40"):
+            assert resolve_execution().device == "M40"
+        prev = set_default_config(ExecutionConfig(device="A100"))
+        try:
+            assert resolve_execution().device == "A100"
+        finally:
+            set_default_config(prev)
+        assert resolve_execution() == first
+
+    def test_mapping_config_resolves_afresh(self):
+        a = resolve_execution({"bounds_check": True})
+        b = resolve_execution({"bounds_check": True})
+        assert a == b and a is not b and a.bounds_check is True
+
+
 def _counters(run):
     return [s.counters.as_dict() for s in run.launches]
 

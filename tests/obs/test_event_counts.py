@@ -9,7 +9,7 @@ that moves a count updates its pin here and says why in CHANGES.md.
 Where the counts come from (``8u32s``, two-pass ``brlt_scanrow``):
 
 * a warm ``sat()`` or ``sat_batch`` is one engine batch: one
-  ``compile.hit``, two ``gpusim.replays`` (one per pass) and six
+  ``compile.hit``, two ``gpusim.replays`` (one per pass) and five
   per-batch engine series;
 * one warm serve request adds, on the caller, ``serve.requests`` and the
   queue-depth gauge, and on the worker the four admission updates, one
@@ -38,12 +38,12 @@ CONFIG = ExecutionConfig(backend="gpusim", sanitize=False,
 PAIR = "8u32s"
 SHAPE = (128, 128)
 
-WARM_SAT = 9
-WARM_SAT_BATCH = 9
-WARM_SERVE_REQUEST = 17
-#: 16 tiles x 9 engine updates, plus shard.runs, shard.tiles,
+WARM_SAT = 8
+WARM_SAT_BATCH = 8
+WARM_SERVE_REQUEST = 16
+#: 16 tiles x 8 engine updates, plus shard.runs, shard.tiles,
 #: shard.carry_ops, shard.lookback.steps and shard.lookback.deferred.
-WARM_SHARDED = 16 * 9 + 5
+WARM_SHARDED = 16 * 8 + 5
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from repro.sat.api import sat
 from repro.sat.box_filter import box_filter as direct_box_filter
 from repro.sat.box_filter import rect_sums as direct_rect_sums
 from repro.sat.naive import exclusive_from_inclusive
+from repro.serve import batcher as batcher_mod
 from repro.serve import (
     BoxFilterRequest,
     RectSumRequest,
@@ -281,6 +282,28 @@ class TestResponses:
         assert tl.components_sum_us() == pytest.approx(tl.latency_us,
                                                        rel=0.01)
         assert resp.latency_us == pytest.approx(tl.latency_us, rel=1e-9)
+
+    def test_submit_stage_covers_the_callers_work(self, monkeypatch):
+        """The submit stage ends once the request is queued, its events
+        emitted and the workers woken: a slow ``serve.requests`` event
+        shows up in ``submit_us``, not in ``queue_wait_us``."""
+        img = _mixed_images()[0]
+        real = batcher_mod.emit
+
+        def slow_emit(name, *args, **fields):
+            if name == "serve.requests":
+                time.sleep(0.005)
+            return real(name, *args, **fields)
+
+        with SatService(workers=1) as service:
+            service.sat(img, timeout=60)  # cold bucket out of the way
+            monkeypatch.setattr(batcher_mod, "emit", slow_emit)
+            resp = service.request(SatRequest(img), timeout=60)
+        tl = resp.timeline
+        assert tl.submit_us >= 5_000
+        assert tl.queue_wait_us < 5_000
+        assert tl.components_sum_us() == pytest.approx(tl.latency_us,
+                                                       rel=0.01)
 
 
 class TestEndpoints:
